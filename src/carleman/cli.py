@@ -23,6 +23,7 @@ import math
 import sys
 
 from .coefficients import CoefficientTable, bound_at
+from .integrands import E, compound_power
 from .moments import density_identity_checks, scaled_derivative_moment
 from .rational import as_rational, is_exact, rational_str, to_decimal_str
 from .refinement import (
@@ -34,8 +35,6 @@ from .refinement import (
 )
 from .report import VerificationReport
 from .verify import corrupted_table, engine_config, run_verification
-
-E = math.e
 
 
 def _positive_int(text: str) -> int:
@@ -84,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "decimal"), default="exact")
     p.add_argument("--digits", type=_positive_int, default=15,
                    help="significant digits in decimal mode (default 15)")
+    p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("verify", help="run the verification sweep, JSON to stdout")
     p.add_argument("--max-n", type=_positive_int, default=200)
@@ -92,26 +92,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", type=_positive_int, default=None, metavar="N",
                    help="overwrite coefficient N with its predecessor first "
                         "(testing hook; the sweep must then fail)")
+    # usage errors found after parsing are reported through the top parser
+    p.set_defaults(func=lambda args: _cmd_verify(args, parser))
 
     p = sub.add_parser("factor", help="refinement weight at one point")
     p.add_argument("--x", type=_point, required=True,
                    help="evaluation point; 'p/q' or integer for the exact path")
     p.add_argument("--terms", type=_positive_int, default=6)
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("demo", help="strengthened inequality over a CSV sequence")
     p.add_argument("--seq", required=True, metavar="FILE",
                    help="single-column CSV, one nonnegative decimal per line, no header")
     p.add_argument("--terms", type=_positive_int, default=6)
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("limit", help="endpoint-moment diagnostic L(n)")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("integrals", help="closed-form density integrals")
     p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.set_defaults(func=_cmd_integrals)
 
     return parser
 
@@ -159,8 +165,7 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_factor(args) -> int:
     table = CoefficientTable.from_recurrence(args.terms)
     factor = refinement_factor(args.x, args.terms, table)
-    xf = float(args.x)
-    power = math.exp(xf * math.log1p(1.0 / xf))
+    power = compound_power(args.x)
     gap = truncation_gap(args.x, args.terms, table)
     bound = tail_bound(args.x, args.terms)
     x_out = rational_str(as_rational(args.x)) if is_exact(args.x) else args.x
@@ -240,17 +245,7 @@ def _cmd_integrals(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "coeffs":
-        return _cmd_coeffs(args)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "factor":
-        return _cmd_factor(args)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "limit":
-        return _cmd_limit(args)
-    return _cmd_integrals(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

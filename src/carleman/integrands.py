@@ -74,15 +74,25 @@ moment_density_derivative = EndpointSafeFunction(
 )
 
 
-def scaled_defect(x: float) -> float:
-    """(x+1) * (e - (1+1/x)**x) for x > 0.
+def compound_power(x) -> float:
+    """(1+1/x)**x as a float, for x > 0.
 
-    The power is evaluated as exp(x*log1p(1/x)) so the result keeps its
-    accuracy when x is large and (1+1/x)**x hugs e.
+    Evaluated as exp(x*log1p(1/x)) so it keeps its accuracy when x is
+    large and the power hugs e.  Where 1/x overflows (subnormal x) the
+    logarithm is taken as -log(x), its value to double precision there,
+    so the result stays finite and tends to 1.
     """
+    x = float(x)
+    inverse = 1.0 / x
+    log_base = math.log1p(inverse) if math.isfinite(inverse) else -math.log(x)
+    return math.exp(x * log_base)
+
+
+def scaled_defect(x: float) -> float:
+    """(x+1) * (e - (1+1/x)**x) for x > 0."""
     if not x > 0:
         raise ValueError("x must be positive")
-    return (x + 1.0) * (E - math.exp(x * math.log1p(1.0 / x)))
+    return (x + 1.0) * (E - compound_power(x))
 
 
 def scaled_defect_by_quadrature(

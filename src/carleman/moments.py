@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .integrands import E, EndpointSafeFunction, _density_interior, moment_density, moment_density_derivative
+from .integrands import E, EndpointSafeFunction, moment_density, moment_density_derivative
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
 from .report import Check, FAIL, PASS
 
@@ -84,10 +84,10 @@ def _identity_integrands() -> dict:
         "density-integral": moment_density,
         "density-first-moment": lambda s: moment_density(s) * s,
         "density-over-s": EndpointSafeFunction(
-            lambda s: _density_interior(s) / s, at_zero=1.0, at_one=0.0
+            lambda s: moment_density(s) / s, at_zero=1.0, at_one=0.0
         ),
         "density-over-1-minus-s": EndpointSafeFunction(
-            lambda s: _density_interior(s) / (1.0 - s), at_zero=0.0, at_one=1.0
+            lambda s: moment_density(s) / (1.0 - s), at_zero=0.0, at_one=1.0
         ),
     }
 

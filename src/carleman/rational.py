@@ -1,10 +1,8 @@
 """Exact rational carrier and rendering helpers.
 
-All coefficient arithmetic runs on arbitrary-precision rationals that are
-always kept in lowest terms with a positive denominator.  The carrier is
-``gmpy2.mpq`` when gmpy2 is installed (roughly twice as fast on the long
-tables) and ``fractions.Fraction`` otherwise; both satisfy the same
-contract and compare equal across types.
+All coefficient arithmetic runs on ``fractions.Fraction``, exported here
+as ``Rational``: arbitrary-precision rationals always kept in lowest
+terms with a positive denominator.
 """
 
 from __future__ import annotations
@@ -13,41 +11,31 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
-
-RationalLike = object  # Rational, Fraction or int
+Rational = Fraction
 
 
 def is_exact(value) -> bool:
-    """True for carriers of exact rational arithmetic (int, Fraction, mpq)."""
-    if isinstance(value, (int, Fraction)):
-        return True
-    return Rational is not Fraction and isinstance(value, Rational)
+    """True for carriers of exact rational arithmetic (int and Fraction)."""
+    return isinstance(value, (int, Fraction))
 
 
-def as_rational(value) -> "Rational":
-    """Coerce ints, Fractions, mpqs, or 'p/q' strings to the active carrier."""
-    if isinstance(value, str):
-        return Rational(Fraction(value))
-    return Rational(value)
+def as_rational(value) -> Rational:
+    """Coerce ints, Fractions, or 'p/q', integer and decimal strings to a Fraction."""
+    return Fraction(value)
+
+
+#: Inverse of rational_str; also accepts plain integers and decimals.
+parse_rational = as_rational
 
 
 def is_reduced(value) -> bool:
-    num, den = int(value.numerator), int(value.denominator)
+    num, den = value.numerator, value.denominator
     return den > 0 and math.gcd(abs(num), den) == 1
 
 
 def rational_str(value) -> str:
     """Canonical 'p/q' form, denominator always written."""
-    return f"{int(value.numerator)}/{int(value.denominator)}"
-
-
-def parse_rational(text: str) -> "Rational":
-    """Inverse of rational_str; also accepts plain integers and decimals."""
-    return as_rational(text)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def to_decimal_str(value, digits: int = 15) -> str:
@@ -58,7 +46,7 @@ def to_decimal_str(value, digits: int = 15) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    num, den = int(value.numerator), int(value.denominator)
+    num, den = value.numerator, value.denominator
     if num == 0:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
     with localcontext() as ctx:

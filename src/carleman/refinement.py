@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coefficients import CoefficientTable
+from .integrands import E, compound_power
 from .rational import Rational, as_rational, is_exact
-
-E = math.e
 
 #: Every demonstration report carries this caveat; both sums are cut at
 #: the sequence length, so the run illustrates the inequality rather than
@@ -34,9 +33,11 @@ DEMO_NOTE = "finite truncation of both sums; a demonstration, not a proof"
 class RefinementFactor:
     """The truncated weight W_m(x), with an exact view when x is rational.
 
-    float_value always lies strictly between 0 and 1: the subtracted sum
-    is positive and smaller than the full series, whose value at any
-    x > 0 stays below 1.
+    The weight lies strictly between 0 and 1: the subtracted sum is
+    positive and smaller than the full series, whose value at any x > 0
+    stays below 1.  The exact view, when present, is held to that; the
+    float view may round up to 1.0 once the sum drops below half an ulp
+    of 1 (x above about 1e17).
     """
 
     x: object
@@ -45,8 +46,10 @@ class RefinementFactor:
     exact_value: Optional[object] = None
 
     def __post_init__(self):
-        if not 0.0 < self.float_value < 1.0:
-            raise ValueError(f"weight {self.float_value!r} outside (0, 1)")
+        if not 0.0 < self.float_value <= 1.0:
+            raise ValueError(f"weight {self.float_value!r} outside (0, 1]")
+        if self.exact_value is not None and not 0 < self.exact_value < 1:
+            raise ValueError(f"exact weight {self.exact_value} outside (0, 1)")
 
 
 def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFactor:
@@ -79,22 +82,22 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
     """Overshoot e*W_m(x) - (1+1/x)**x; positive for every x > 0, m >= 1.
 
-    The power is evaluated as exp(x*log1p(1/x)).  Near the gap's floor
+    The power comes from compound_power.  Near the gap's floor
     (large x and m together) the subtraction is at the mercy of double
     rounding, so callers should compare against tail_bound rather than
     expect sign resolution below ~1e-15.
     """
     factor = refinement_factor(x, terms, table)
-    xf = float(x)
-    return E * factor.float_value - math.exp(xf * math.log1p(1.0 / xf))
+    return E * factor.float_value - compound_power(x)
 
 
 def tail_bound(x, terms: int) -> float:
     """Upper bound e * sum_{k>m} 1/(k(k+1)(x+1)**k) on the overshoot.
 
     Summed directly (the ratio 1/(x+1) is below 1); the loop stops once
-    the analytic remainder u**k/k is negligible and that remainder is
-    folded in, so the returned value never undershoots the true sum.
+    the analytic remainder u**k/k is negligible, or after 100000 terms,
+    and that remainder is folded in on either exit, so the returned value
+    never undershoots the true sum.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -104,15 +107,13 @@ def tail_bound(x, terms: int) -> float:
     k = terms + 1
     power = u**k
     total = 0.0
-    while k <= terms + 100000:
+    while True:
         total += power / (k * (k + 1))
         power *= u
         k += 1
         remainder = power / k
-        if remainder <= 1e-18 * total or remainder < 1e-300:
-            total += remainder
-            break
-    return E * total
+        if remainder <= 1e-18 * total or remainder < 1e-300 or k > terms + 100000:
+            return E * (total + remainder)
 
 
 @dataclass(frozen=True)

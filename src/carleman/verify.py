@@ -80,126 +80,36 @@ def corrupted_table(table: CoefficientTable, n: int) -> CoefficientTable:
     return CoefficientTable(values=tuple(values), source=table.source)
 
 
-def _worst_diff(pairs):
-    worst = -1.0
-    worst_n = None
-    for n, diff in pairs:
+def _sweep_check(name, claim_ref, label, var, items, evaluate, tol) -> Check:
+    """Worst difference of `evaluate(item) -> (diff, converged)` over a sweep.
+
+    `var` names the swept variable: "n" sweeps over range(2, quad_max + 1),
+    "x" over a list of sample points; the check passes when every
+    evaluation converged and the worst difference is within `tol`.
+    """
+    worst, worst_at, all_converged = -1.0, None, True
+    for item in items:
+        diff, converged = evaluate(item)
+        all_converged = all_converged and converged
         if diff > worst:
-            worst, worst_n = diff, n
-    return worst, worst_n
-
-
-def moment_sweep_check(
-    table: CoefficientTable, quad_max: int, tol: float, config: QuadratureConfig
-) -> Check:
-    """Quadrature recovery c_n = (1/e) int density * s**(n-2) vs. exact."""
-    diffs = []
-    all_converged = True
-    for n in range(2, quad_max + 1):
-        result = coefficient_by_moment(n, config)
-        all_converged = all_converged and result.converged
-        diffs.append((n, abs(result.value - float(table.value(n)))))
-    worst, worst_n = _worst_diff(diffs)
+            worst, worst_at = diff, item
+    if var == "n":
+        span, scope = f"[{items[0]}, {items[-1]}]", {"quad_max": items[-1]}
+    else:
+        span, scope = str(list(items)), {"sample_xs": list(items)}
     ok = all_converged and worst <= tol
     return Check(
-        name="moment-representation",
-        claim_ref=CLAIM_MOMENT_REP,
+        name=name,
+        claim_ref=claim_ref,
         status=PASS if ok else FAIL,
         detail=(
-            f"max |quadrature - exact| = {worst:.3e} at n={worst_n} "
-            f"over n in [2, {quad_max}], tolerance {tol:.1e}"
+            f"max |{label}| = {worst:.3e} at {var}={worst_at} "
+            f"over {var} in {span}, tolerance {tol:.1e}"
         ),
         values={
-            "quad_max": quad_max,
+            **scope,
             "max_abs_diff": worst,
-            "worst_n": worst_n,
-            "tolerance": tol,
-            "all_converged": all_converged,
-        },
-    )
-
-
-def mirror_sweep_check(quad_max: int, tol: float, config: QuadratureConfig) -> Check:
-    """Agreement of the s**(n-2) and (1-s)**(n-2) moment integrals."""
-    diffs = []
-    all_converged = True
-    for n in range(2, quad_max + 1):
-        plain = coefficient_by_moment(n, config)
-        mirrored = coefficient_by_moment(n, config, mirror=True)
-        all_converged = all_converged and plain.converged and mirrored.converged
-        diffs.append((n, abs(plain.value - mirrored.value)))
-    worst, worst_n = _worst_diff(diffs)
-    ok = all_converged and worst <= tol
-    return Check(
-        name="moment-mirror-agreement",
-        claim_ref=CLAIM_MOMENT_REP_SHIFTED,
-        status=PASS if ok else FAIL,
-        detail=(
-            f"max |plain - mirrored| = {worst:.3e} at n={worst_n} "
-            f"over n in [2, {quad_max}], tolerance {tol:.1e}"
-        ),
-        values={
-            "quad_max": quad_max,
-            "max_abs_diff": worst,
-            "worst_n": worst_n,
-            "tolerance": tol,
-            "all_converged": all_converged,
-        },
-    )
-
-
-def parts_sweep_check(
-    table: CoefficientTable, quad_max: int, tol: float, config: QuadratureConfig
-) -> Check:
-    """Quadrature recovery through the integrated-by-parts form."""
-    diffs = []
-    all_converged = True
-    for n in range(2, quad_max + 1):
-        result = coefficient_by_parts(n, config)
-        all_converged = all_converged and result.converged
-        diffs.append((n, abs(result.value - float(table.value(n)))))
-    worst, worst_n = _worst_diff(diffs)
-    ok = all_converged and worst <= tol
-    return Check(
-        name="parts-representation",
-        claim_ref=CLAIM_PARTS_REP,
-        status=PASS if ok else FAIL,
-        detail=(
-            f"max |quadrature - exact| = {worst:.3e} at n={worst_n} "
-            f"over n in [2, {quad_max}], tolerance {tol:.1e}"
-        ),
-        values={
-            "quad_max": quad_max,
-            "max_abs_diff": worst,
-            "worst_n": worst_n,
-            "tolerance": tol,
-            "all_converged": all_converged,
-        },
-    )
-
-
-def gap_function_check(tol: float, config: QuadratureConfig) -> Check:
-    """Closed form vs. integral form of (x+1)(e - (1+1/x)**x)."""
-    diffs = []
-    all_converged = True
-    for x in GAP_SAMPLE_XS:
-        by_quad = scaled_defect_by_quadrature(x, config)
-        all_converged = all_converged and by_quad.converged
-        diffs.append((x, abs(scaled_defect(x) - by_quad.value)))
-    worst, worst_x = _worst_diff(diffs)
-    ok = all_converged and worst <= tol
-    return Check(
-        name="gap-function-agreement",
-        claim_ref=CLAIM_GAP_FUNCTION,
-        status=PASS if ok else FAIL,
-        detail=(
-            f"max |closed - integral| = {worst:.3e} at x={worst_x} "
-            f"over x in {list(GAP_SAMPLE_XS)}, tolerance {tol:.1e}"
-        ),
-        values={
-            "sample_xs": list(GAP_SAMPLE_XS),
-            "max_abs_diff": worst,
-            "worst_x": worst_x,
+            f"worst_{var}": worst_at,
             "tolerance": tol,
             "all_converged": all_converged,
         },
@@ -283,16 +193,39 @@ def run_verification(
     if table is None:
         table = CoefficientTable.from_recurrence(max_n)
     oracle = CoefficientTable.from_series_oracle(max_n)
+
+    def moment(n):
+        result = coefficient_by_moment(n, config)
+        return abs(result.value - float(table.value(n))), result.converged
+
+    def mirror(n):
+        plain = coefficient_by_moment(n, config)
+        mirrored = coefficient_by_moment(n, config, mirror=True)
+        return abs(plain.value - mirrored.value), plain.converged and mirrored.converged
+
+    def parts(n):
+        result = coefficient_by_parts(n, config)
+        return abs(result.value - float(table.value(n))), result.converged
+
+    def gap(x):
+        by_quad = scaled_defect_by_quadrature(x, config)
+        return abs(scaled_defect(x) - by_quad.value), by_quad.converged
+
+    ns = range(2, quad_max + 1)
     checks = (
         oracle_equivalence_check(table, oracle),
         bound_check(table),
         monotonicity_check(table),
         ratio_trend_check(table),
-        moment_sweep_check(table, quad_max, tol, config),
-        mirror_sweep_check(quad_max, tol / 10.0, config),
-        parts_sweep_check(table, quad_max, 10.0 * tol, config),
+        _sweep_check("moment-representation", CLAIM_MOMENT_REP,
+                     "quadrature - exact", "n", ns, moment, tol),
+        _sweep_check("moment-mirror-agreement", CLAIM_MOMENT_REP_SHIFTED,
+                     "plain - mirrored", "n", ns, mirror, tol / 10.0),
+        _sweep_check("parts-representation", CLAIM_PARTS_REP,
+                     "quadrature - exact", "n", ns, parts, 10.0 * tol),
         *density_identity_checks(config, tol, 10.0 * tol),
-        gap_function_check(10.0 * tol, config),
+        _sweep_check("gap-function-agreement", CLAIM_GAP_FUNCTION,
+                     "closed - integral", "x", GAP_SAMPLE_XS, gap, 10.0 * tol),
         partial_sum_check(table),
         endpoint_limit_check(config),
     )

@@ -126,6 +126,25 @@ def test_factor_rational_point(capsys):
     assert payload["weight_exact"] is not None
 
 
+def test_factor_at_large_x(capsys):
+    """Above x ~ 1e17 the float weight rounds to 1.0; the exact one stays below 1."""
+    for x in ("100000000000000000000", "1e300"):
+        code, out, _ = run_cli(capsys, "factor", "--x", x, "--format", "json")
+        assert code == 0, x
+        payload = json.loads(out)
+        assert payload["weight"] == 1.0
+        if payload["weight_exact"] is not None:
+            assert parse_rational(payload["weight_exact"]) < 1
+
+
+def test_factor_at_subnormal_x(capsys):
+    code, out, _ = run_cli(capsys, "factor", "--x", "1e-320", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["power"] == 1.0
+    assert 0.0 < payload["gap"] < payload["tail_bound"]
+
+
 def test_factor_rejects_nonpositive(capsys):
     for bad in ("0", "-1", "0/5", "abc"):
         with pytest.raises(SystemExit) as exc:

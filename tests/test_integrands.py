@@ -13,6 +13,7 @@ from carleman import (
     scaled_defect,
     scaled_defect_by_quadrature,
 )
+from carleman.integrands import compound_power
 
 
 def test_density_endpoints_and_center():
@@ -81,6 +82,13 @@ def test_scaled_defect_rejects_nonpositive():
         scaled_defect(0.0)
     with pytest.raises(ValueError):
         scaled_defect(-1.0)
+
+
+def test_compound_power_finite_where_reciprocal_overflows():
+    for x in (1e-300, 0.5, 3.0, 1e17):
+        assert compound_power(x) == math.exp(x * math.log1p(1.0 / x))
+    assert math.isinf(1.0 / 1e-320)
+    assert compound_power(1e-320) == 1.0
 
 
 def test_scaled_defect_limit_behavior():

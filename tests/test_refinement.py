@@ -104,6 +104,20 @@ def test_tail_bound_closed_form_at_x_one():
     assert tail_bound(1, 1) == pytest.approx(expected, abs=1e-14)
 
 
+def test_tail_bound_never_undershoots_at_term_cap():
+    """At x = 1e-6 the ratio u is so close to 1 that the 100000-term cap ends the sum."""
+    u = 1.0 / (1e-6 + 1.0)
+    closed = E * (1.0 + (1.0 / u - 1.0) * math.log1p(-u) - u / 2.0)
+    assert tail_bound(1e-6, 1) >= closed
+
+
+def test_weight_at_large_x():
+    exact = refinement_factor(10**20, 6, TABLE)
+    assert exact.float_value == 1.0
+    assert 0 < exact.exact_value < 1
+    assert refinement_factor(1e300, 6, TABLE).float_value == 1.0
+
+
 def test_tail_bound_validation():
     with pytest.raises(ValueError):
         tail_bound(0.0, 3)

@@ -1,5 +1,7 @@
 """The assembled verification sweep."""
 
+import re
+
 import pytest
 
 from carleman import (
@@ -83,6 +85,41 @@ def test_quadrature_margins(small_report):
         assert check.status == PASS
         # diffs run ~1e-17, tolerances 1e-11..1e-9: huge headroom
         assert check.values["max_abs_diff"] <= check.values["tolerance"] / 100.0
+
+
+SWEEP_LABELS = {
+    "moment-representation": "quadrature - exact",
+    "moment-mirror-agreement": "plain - mirrored",
+    "parts-representation": "quadrature - exact",
+}
+
+
+def test_sweep_check_layout(small_report):
+    by_name = {c.name: c for c in small_report.checks}
+    for name, label in SWEEP_LABELS.items():
+        check = by_name[name]
+        assert set(check.values) == {
+            "quad_max", "max_abs_diff", "worst_n", "tolerance", "all_converged"
+        }
+        assert check.values["quad_max"] == 10
+        assert 2 <= check.values["worst_n"] <= 10
+        assert re.fullmatch(
+            rf"max \|{label}\| = \d\.\d{{3}}e[+-]\d+ at n=\d+ "
+            rf"over n in \[2, 10\], tolerance \d\.\de[+-]\d+",
+            check.detail,
+        ), check.detail
+    gap = by_name["gap-function-agreement"]
+    assert set(gap.values) == {
+        "sample_xs", "max_abs_diff", "worst_x", "tolerance", "all_converged"
+    }
+    assert gap.values["sample_xs"] == [0.1, 0.5, 1.0, 2.0, 10.0, 100.0]
+    assert gap.values["worst_x"] in gap.values["sample_xs"]
+    assert re.fullmatch(
+        r"max \|closed - integral\| = \d\.\d{3}e[+-]\d+ at x=[\d.]+ "
+        r"over x in \[0\.1, 0\.5, 1\.0, 2\.0, 10\.0, 100\.0\], tolerance 1\.0e-09",
+        gap.detail,
+    ), gap.detail
+    assert by_name["moment-mirror-agreement"].detail.endswith("tolerance 1.0e-11")
 
 
 def test_fault_injection_fails_decrease_check():
