@@ -16,10 +16,12 @@ implemented here in exact rational arithmetic and must agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .rational import Rational, is_reduced
+from .rational import Rational
 from .report import Check, FAIL, PASS
 
 RECURRENCE = "recurrence"
@@ -41,17 +43,26 @@ def bound_at(n: int) -> "Rational":
 class CoefficientTable:
     """Immutable table of exact coefficients c_1 .. c_max_n.
 
-    Entries are reduced rationals indexed from 1.  `source` records which
-    construction produced the table; a finished table is safe to share
-    across threads.
+    Entry n is numerators[n-1] / denominator: Python integers over one
+    shared denominator, the least one, so gcd(denominator, *numerators)
+    is 1.  The exact checks compare these integers directly; `values`
+    (reduced Fractions, indexed from 1) is the public view.  `source`
+    records which construction produced the table; a finished table is
+    safe to share across threads.
     """
 
-    values: tuple
+    numerators: tuple
+    denominator: int
     source: str
 
     @property
     def max_n(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
+
+    @cached_property
+    def values(self) -> tuple:
+        """The entries as reduced Fractions, built on first use."""
+        return tuple(Rational(v, self.denominator) for v in self.numerators)
 
     def value(self, n: int) -> "Rational":
         if not 1 <= n <= self.max_n:
@@ -65,23 +76,37 @@ class CoefficientTable:
         """Exact sum of the first `upto` coefficients."""
         if not 1 <= upto <= self.max_n:
             raise IndexError(f"N={upto} outside table range 1..{self.max_n}")
-        return sum(self.values[:upto], Rational(0))
+        return Rational(sum(self.numerators[:upto]), self.denominator)
 
     def floats(self) -> list[float]:
-        return [float(v) for v in self.values]
+        # int / int is correctly rounded, so this equals float(value(n))
+        return [v / self.denominator for v in self.numerators]
 
     @classmethod
     def from_recurrence(cls, max_n: int) -> "CoefficientTable":
-        """Build c_1..c_max_n by the defining recurrence, exactly."""
+        """Build c_1..c_max_n by the defining recurrence, exactly.
+
+        With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q = n!), step n
+        has c_n = X / (q*D) for the integers X = D*Q - (n+1)*A and
+        q = n*(n+1)*Q.  Then N_n = X/h over D*m, with h = gcd(X, q) and
+        m = q/h, and the earlier numerators are rescaled by m.  As
+        gcd(X/h, m) = 1, the shared denominator stays the least one.
+        """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        values = [Rational(1, 2)]
+        nums, den = [1], 2
         for n in range(2, max_n + 1):
-            # sum_{k=0}^{n-2} c_{n-k-1}/(k+2) rewritten over j = n-k-1;
-            # empty for n < 2.
-            acc = sum(values[j - 1] / (n - j + 1) for j in range(1, n))
-            values.append((Rational(1, n + 1) - acc) / n)
-        return cls(values=tuple(values), source=RECURRENCE)
+            # sum_{k=0}^{n-2} c_{n-k-1}/(k+2): N_{n-1}, N_{n-2}, ... over 2, 3, ...
+            a, q = _sum_over_2_up(nums[::-1])
+            x = den * q - (n + 1) * a
+            q *= n * (n + 1)
+            h = math.gcd(x, q)
+            m = q // h
+            if m > 1:
+                nums = [v * m for v in nums]
+                den *= m
+            nums.append(x // h)
+        return cls(numerators=tuple(nums), denominator=den, source=RECURRENCE)
 
     @classmethod
     def from_series_oracle(cls, max_n: int) -> "CoefficientTable":
@@ -91,14 +116,42 @@ class CoefficientTable:
         c_n = -[t**n] E(t).  E is computed by the standard convolution
         recurrence for exp of a series with zero constant term:
         n*E_n = sum_{k=1}^n (k*a_k)*E_{n-k}, here k*a_k = -1/(k+1).
+        The E_j are kept as integers F_j over the least shared D (F_0 = D):
+        with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D), reduced and
+        rescaled as in from_recurrence.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        exp_coeffs = [Rational(1)] + [Rational(0)] * max_n
+        exp_nums, den = [1], 1
         for n in range(1, max_n + 1):
-            acc = sum(exp_coeffs[n - k] / (k + 1) for k in range(1, n + 1))
-            exp_coeffs[n] = -acc / n
-        return cls(values=tuple(-c for c in exp_coeffs[1:]), source=SERIES_ORACLE)
+            # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
+            a, q = _sum_over_2_up(exp_nums[::-1])
+            q *= n
+            h = math.gcd(a, q)
+            m = q // h
+            if m > 1:
+                exp_nums = [f * m for f in exp_nums]
+                den *= m
+            exp_nums.append(-a // h)
+        return cls(
+            numerators=tuple(-f for f in exp_nums[1:]), denominator=den, source=SERIES_ORACLE
+        )
+
+
+def _sum_over_2_up(terms: list) -> tuple:
+    """(A, Q) with A/Q = sum_i terms[i]/(i+2) and Q = (len(terms)+1)!.
+
+    Neighbours are merged pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a
+    big numerator mostly meets a small denominator and no gcd is taken;
+    this costs far less than bringing every term to lcm(2, 3, ...).
+    """
+    parts = [(t, i + 2) for i, t in enumerate(terms)]
+    while len(parts) > 1:
+        merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(parts[::2], parts[1::2])]
+        if len(parts) % 2:
+            merged.append(parts[-1])
+        parts = merged
+    return parts[0]
 
 
 def bound_check(table: CoefficientTable) -> Check:
@@ -111,11 +164,12 @@ def bound_check(table: CoefficientTable) -> Check:
         raise ValueError("table is empty")
     violations = []
     equalities = []
-    for n, v in table:
-        cap = bound_at(n)
-        if not (0 < v <= cap):
+    for n, v in enumerate(table.numerators, start=1):
+        # c_n <= 1/(n(n+1)) over the shared denominator D: N_n*n(n+1) <= D
+        scaled = v * n * (n + 1)
+        if not (0 < v and scaled <= table.denominator):
             violations.append(n)
-        elif v == cap:
+        elif scaled == table.denominator:
             equalities.append(n)
     ok = not violations and equalities == [1]
     detail = (
@@ -136,7 +190,8 @@ def monotonicity_check(table: CoefficientTable) -> Check:
     """Exact strict-decrease check over all adjacent pairs."""
     if table.max_n < 2:
         raise ValueError("need at least two coefficients")
-    bad = [n for n in range(1, table.max_n) if not table.value(n + 1) < table.value(n)]
+    nums = table.numerators
+    bad = [n for n, (a, b) in enumerate(zip(nums, nums[1:]), start=1) if not b < a]
     ok = not bad
     return Check(
         name="coefficient-decrease",
@@ -152,9 +207,16 @@ def monotonicity_check(table: CoefficientTable) -> Check:
 
 
 def oracle_equivalence_check(table: CoefficientTable, oracle: CoefficientTable) -> Check:
-    """Element-wise exact equality of the two construction routes."""
+    """Element-wise exact equality of the two construction routes.
+
+    N/D == M/D' is tested as N*(D'/g) == M*(D/g) with g = gcd(D, D'); both
+    factors are 1 when the denominators agree.
+    """
     upto = min(table.max_n, oracle.max_n)
-    mismatches = [n for n in range(1, upto + 1) if table.value(n) != oracle.value(n)]
+    g = math.gcd(table.denominator, oracle.denominator)
+    scale_t, scale_o = oracle.denominator // g, table.denominator // g
+    pairs = zip(table.numerators[:upto], oracle.numerators[:upto])
+    mismatches = [n for n, (a, b) in enumerate(pairs, start=1) if a * scale_t != b * scale_o]
     ok = not mismatches
     return Check(
         name="oracle-equivalence",
@@ -179,7 +241,7 @@ def adjacent_ratios(table: CoefficientTable, ns: Sequence[int]) -> list[float]:
     for n in ns:
         if not 1 <= n < table.max_n:
             raise IndexError(f"ratio at n={n} needs entries n and n+1 in 1..{table.max_n}")
-        out.append(float(table.value(n + 1) / table.value(n)))
+        out.append(table.numerators[n] / table.numerators[n - 1])
     return out
 
 
@@ -187,18 +249,17 @@ def ratio_trend_check(table: CoefficientTable, start: int = 2) -> Check:
     """Exact check that ratios stay below 1 and increase from `start` on.
 
     Increase of c_{n+1}/c_n is tested as log-convexity,
-    c_n * c_{n+2} > c_{n+1}**2, which avoids rational division.
+    N_n * N_{n+2} > N_{n+1}**2 on the shared-denominator numerators.
     """
     if table.max_n < start + 2:
         raise ValueError("table too short for a ratio trend")
-    below_one = all(table.value(n + 1) < table.value(n) for n in range(start, table.max_n))
+    nums = (None, *table.numerators)  # nums[n] is N_n
+    below_one = all(nums[n + 1] < nums[n] for n in range(start, table.max_n))
     not_increasing = [
-        n
-        for n in range(start, table.max_n - 1)
-        if not table.value(n) * table.value(n + 2) > table.value(n + 1) ** 2
+        n for n in range(start, table.max_n - 1) if not nums[n] * nums[n + 2] > nums[n + 1] ** 2
     ]
     ok = below_one and not not_increasing
-    last_ratio = float(table.value(table.max_n) / table.value(table.max_n - 1))
+    last_ratio = nums[-1] / nums[-2]
     return Check(
         name="ratio-trend",
         claim_ref=CLAIM_RATIO_LIMIT,
@@ -214,5 +275,8 @@ def ratio_trend_check(table: CoefficientTable, start: int = 2) -> Check:
 
 
 def table_invariants_ok(table: CoefficientTable) -> bool:
-    """Cheap structural sanity: reduced entries and the exact c_1 anchor."""
-    return table.value(1) == Rational(1, 2) and all(is_reduced(v) for v in table.values)
+    """Cheap structural sanity: the least shared denominator and the exact c_1 anchor."""
+    return (
+        table.value(1) == Rational(1, 2)
+        and math.gcd(table.denominator, *table.numerators) == 1
+    )

@@ -16,6 +16,7 @@ fast exception.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .coefficients import (
@@ -67,7 +68,7 @@ def engine_config(tol: float) -> QuadratureConfig:
 
 
 def corrupted_table(table: CoefficientTable, n: int) -> CoefficientTable:
-    """Copy of the table with entry n overwritten by entry n-1.
+    """Copy of the table with numerator n overwritten by numerator n-1.
 
     The duplicate breaks the strict-decrease claim, so a sweep over the
     result must fail; this is the fault-injection hook for exercising
@@ -75,9 +76,9 @@ def corrupted_table(table: CoefficientTable, n: int) -> CoefficientTable:
     """
     if not 2 <= n <= table.max_n:
         raise ValueError(f"n must lie in 2..{table.max_n}")
-    values = list(table.values)
-    values[n - 1] = values[n - 2]
-    return CoefficientTable(values=tuple(values), source=table.source)
+    numerators = list(table.numerators)
+    numerators[n - 1] = numerators[n - 2]
+    return dataclasses.replace(table, numerators=tuple(numerators))
 
 
 def _sweep_check(name, claim_ref, label, var, items, evaluate, tol) -> Check:
@@ -193,10 +194,11 @@ def run_verification(
     if table is None:
         table = CoefficientTable.from_recurrence(max_n)
     oracle = CoefficientTable.from_series_oracle(max_n)
+    floats = table.floats()
 
     def moment(n):
         result = coefficient_by_moment(n, config)
-        return abs(result.value - float(table.value(n))), result.converged
+        return abs(result.value - floats[n - 1]), result.converged
 
     def mirror(n):
         plain = coefficient_by_moment(n, config)
@@ -205,7 +207,7 @@ def run_verification(
 
     def parts(n):
         result = coefficient_by_parts(n, config)
-        return abs(result.value - float(table.value(n))), result.converged
+        return abs(result.value - floats[n - 1]), result.converged
 
     def gap(x):
         by_quad = scaled_defect_by_quadrature(x, config)

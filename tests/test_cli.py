@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from carleman import CoefficientTable, parse_rational, report_from_json
-from carleman.cli import main
+from carleman.cli import MAX_TABLE_N, build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +153,42 @@ def test_factor_rejects_nonpositive(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["factor", "--x", bad])
         assert exc.value.code == 2, bad
+
+
+def test_factor_rejects_exact_x_above_float_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--x", "1" + "0" * 400])
+    assert exc.value.code == 2
+    assert "error: argument --x: outside the floating-point range" in capsys.readouterr().err
+
+
+def test_factor_rejects_exact_x_below_float_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--x", "1/1" + "0" * 400])
+    assert exc.value.code == 2
+    assert "error: argument --x: outside the floating-point range" in capsys.readouterr().err
+
+
+def test_table_length_ceiling(capsys):
+    for argv in (["coeffs", "--max-n"], ["verify", "--max-n"],
+                 ["factor", "--x", "1", "--terms"]):
+        assert build_parser().parse_args(argv + [str(MAX_TABLE_N)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(MAX_TABLE_N + 1)])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-1]}: must be at most {MAX_TABLE_N}" in err
+
+
+@pytest.mark.parametrize("argv, code, golden", [
+    (["verify"], 0, "verify.json"),
+    (["verify", "--max-n", "30", "--quad-max", "10", "--inject-fault", "7"], 1,
+     "verify_max30_fault7.json"),
+    (["coeffs", "--max-n", "30", "--format", "json"], 0, "coeffs_max30.json"),
+])
+def test_output_matches_golden(capsys, argv, code, golden):
+    """Stdout is byte-identical to the committed output of the Fraction-based engine."""
+    assert run_cli(capsys, *argv)[:2] == (code, (GOLDEN / golden).read_bytes().decode())
 
 
 def test_demo_runs(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Exact coefficient tables: constructions, bounds, monotonicity, ratios."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,3 +179,67 @@ def test_constructions_agree_everywhere(max_n):
     a = CoefficientTable.from_recurrence(max_n)
     b = CoefficientTable.from_series_oracle(max_n)
     assert a.values == b.values
+
+
+def reference_recurrence(max_n):
+    """The paper's recurrence written out in plain Fraction arithmetic (test-only reference)."""
+    values = [Fraction(1, 2)]
+    for n in range(2, max_n + 1):
+        acc = sum(values[j - 1] / (n - j + 1) for j in range(1, n))
+        values.append((Fraction(1, n + 1) - acc) / n)
+    return values
+
+
+def assert_matches_reference(table, reference):
+    """Same values bit for bit, held as integers over the least common denominator."""
+    assert list(table.values) == reference
+    den = math.lcm(*(v.denominator for v in reference))
+    assert table.denominator == den
+    assert table.numerators == tuple(v.numerator * (den // v.denominator) for v in reference)
+    assert math.gcd(table.denominator, *table.numerators) == 1
+
+
+@given(st.integers(min_value=1, max_value=60))
+@settings(max_examples=20, deadline=None)
+def test_constructions_match_fraction_reference(max_n):
+    reference = reference_recurrence(max_n)
+    assert_matches_reference(CoefficientTable.from_recurrence(max_n), reference)
+    assert_matches_reference(CoefficientTable.from_series_oracle(max_n), reference)
+
+
+def test_constructions_match_fraction_reference_at_300():
+    reference = reference_recurrence(300)
+    assert_matches_reference(CoefficientTable.from_recurrence(300), reference)
+    assert_matches_reference(CoefficientTable.from_series_oracle(300), reference)
+
+
+@pytest.mark.parametrize("fault", [2, 3, 57, 199, 200])
+def test_integer_checks_match_fraction_comparisons(table200, oracle200, fault):
+    broken = corrupted_table(table200, fault)
+    c = (None, *broken.values)  # c[n] is the reduced Fraction c_n
+
+    bound = bound_check(broken)
+    assert bound.values["violations"] == [n for n in range(1, 201) if not 0 < c[n] <= bound_at(n)]
+    assert bound.values["equality_at"] == [n for n in range(1, 201) if c[n] == bound_at(n)]
+
+    failures = [n for n in range(1, 200) if not c[n + 1] < c[n]]
+    assert monotonicity_check(broken).values["failures"] == failures
+
+    below_one = all(c[n + 1] < c[n] for n in range(2, 200))
+    not_increasing = [n for n in range(2, 199) if not c[n] * c[n + 2] > c[n + 1] ** 2]
+    trend = ratio_trend_check(broken)
+    assert (trend.status == PASS) == (below_one and not not_increasing)
+    if trend.status == FAIL:
+        assert trend.detail == f"below_one={below_one}, non-increasing at n={not_increasing[:10]}"
+    assert trend.values["last_ratio"] == float(c[200] / c[199])
+
+    assert oracle_equivalence_check(broken, oracle200).values["mismatches"] == [fault]
+
+
+def test_oracle_equivalence_across_denominators():
+    """Tables of different lengths hold different shared denominators."""
+    short, long = CoefficientTable.from_recurrence(10), CoefficientTable.from_series_oracle(12)
+    assert short.denominator != long.denominator
+    check = oracle_equivalence_check(short, long)
+    assert check.status == PASS and check.values["compared_n"] == 10
+    assert oracle_equivalence_check(corrupted_table(short, 4), long).values["mismatches"] == [4]
