@@ -277,6 +277,6 @@ def ratio_trend_check(table: CoefficientTable, start: int = 2) -> Check:
 def table_invariants_ok(table: CoefficientTable) -> bool:
     """Cheap structural sanity: the least shared denominator and the exact c_1 anchor."""
     return (
-        table.value(1) == Rational(1, 2)
+        2 * table.numerators[0] == table.denominator
         and math.gcd(table.denominator, *table.numerators) == 1
     )

@@ -25,21 +25,21 @@ ENDPOINT_WINDOW = 1e-12
 class EndpointSafeFunction:
     """A function on [0,1] with explicit analytic endpoint values.
 
-    `interior` is only consulted for s in (window, 1-window); the limits
-    at_zero / at_one cover the rest, keeping every evaluation finite.
+    `interior` is only consulted for s in (ENDPOINT_WINDOW,
+    1 - ENDPOINT_WINDOW); the limits at_zero / at_one cover the rest,
+    keeping every evaluation finite.
     """
 
     interior: Callable[[float], float]
     at_zero: float
     at_one: float
-    window: float = ENDPOINT_WINDOW
 
     def __call__(self, s: float) -> float:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s={s!r} outside [0,1]")
-        if s < self.window:
+        if s < ENDPOINT_WINDOW:
             return self.at_zero
-        if s > 1.0 - self.window:
+        if s > 1.0 - ENDPOINT_WINDOW:
             return self.at_one
         return self.interior(s)
 

@@ -16,7 +16,7 @@ c_1 = 1/2 is not covered by them.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
 from .integrands import E, EndpointSafeFunction, moment_density, moment_density_derivative
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
@@ -61,12 +61,15 @@ def scaled_derivative_moment(n: int, config: QuadratureConfig = DEFAULT_CONFIG) 
 
     As n grows the mass concentrates at s=1 and the value drifts toward
     density'(1) = -1; no convergence rate is asserted, callers report the
-    observed values.
+    observed values.  The error estimate is scaled by n with the value,
+    and `converged` also requires that scaled estimate to be within
+    `config.target_abs_tol`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    result = integrate(lambda s: moment_density_derivative(s) * s**n, config)
-    return result.scaled(float(n))
+    result = integrate(lambda s: moment_density_derivative(s) * s**n, config).scaled(float(n))
+    within = result.error_estimate <= config.target_abs_tol
+    return dataclasses.replace(result, converged=result.converged and within)
 
 
 #: The four closed-form integrals of the density: plain, first moment,

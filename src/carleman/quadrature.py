@@ -15,6 +15,7 @@ the package integrates over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,14 +62,14 @@ class QuadratureResult:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# Per-level node cache: level 0 holds every abscissa of the unit-step
-# grid, level L >= 1 only the odd multiples of 2**-L (the nodes new at
-# that level).  Tuples are built fully before being published, so a
-# concurrent duplicate build is benign.
-_node_cache: dict[int, tuple] = {}
 
+@functools.cache
+def _level_nodes(level: int) -> tuple:
+    """(s_hi, s_lo, weight, is_center) for the nodes new at `level`.
 
-def _build_level(level: int) -> tuple:
+    Level 0 holds every abscissa of the unit-step grid, level L >= 1 only
+    the odd multiples of 2**-L.  Each level is built once per process.
+    """
     h = 1.0 / (1 << level)
     ks = range(0, 10**6) if level == 0 else range(1, 10**6, 2)
     nodes = []
@@ -83,14 +84,6 @@ def _build_level(level: int) -> tuple:
         u = math.tanh(_PI_HALF * math.sinh(t))
         nodes.append((0.5 * (1.0 + u), 0.5 * (1.0 - u), weight, k == 0))
     return tuple(nodes)
-
-
-def _level_nodes(level: int) -> tuple:
-    nodes = _node_cache.get(level)
-    if nodes is None:
-        nodes = _build_level(level)
-        _node_cache[level] = nodes
-    return nodes
 
 
 def _level_sum(func: Callable[[float], float], level: int) -> float:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .coefficients import CoefficientTable
 from .integrands import E, compound_power
-from .rational import Rational, as_rational, is_exact
+from .rational import Rational, is_exact
 
 #: Every demonstration report carries this caveat; both sums are cut at
 #: the sequence length, so the run illustrates the inequality rather than
@@ -37,7 +37,7 @@ class RefinementFactor:
     positive and smaller than the full series, whose value at any x > 0
     stays below 1.  The exact view, when present, is held to that; the
     float view may round up to 1.0 once the sum drops below half an ulp
-    of 1 (x above about 1e17).
+    of 1 (x above about 1e16).
     """
 
     x: object
@@ -58,6 +58,11 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
     When x arrives as an int or exact rational the weight is computed in
     exact arithmetic and both views are filled; a float x gets only the
     float view (via a Horner pass over 1/(x+1)).
+
+    The exact pass runs on the table's integers: with x = p/q, s = p + q
+    and c_k = N_k/D, the sum is A/(D*s**m) for A = sum_k N_k q**k s**(m-k),
+    built by the Horner step A = A*s + N_k*q**k, so the only rational is
+    the result itself.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -65,27 +70,34 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
         raise IndexError(f"terms={terms} exceeds table range 1..{table.max_n}")
     if not x > 0:
         raise ValueError("x must be positive")
+    nums, den = table.numerators[:terms], table.denominator
     if is_exact(x):
-        u = Rational(1) / (as_rational(x) + 1)
-        acc = Rational(0)
-        for k in range(terms, 0, -1):
-            acc = (acc + table.value(k)) * u
-        exact = 1 - acc
+        q = x.denominator
+        s = x.numerator + q
+        acc, q_k = 0, 1
+        for n_k in nums:
+            q_k *= q
+            acc = acc * s + n_k * q_k
+        whole = den * s**terms
+        exact = Rational(whole - acc, whole)
         return RefinementFactor(x=x, terms=terms, float_value=float(exact), exact_value=exact)
     u = 1.0 / (float(x) + 1.0)
     acc = 0.0
-    for k in range(terms, 0, -1):
-        acc = (acc + float(table.value(k))) * u
+    for n_k in reversed(nums):
+        acc = (acc + n_k / den) * u
     return RefinementFactor(x=x, terms=terms, float_value=1.0 - acc, exact_value=None)
 
 
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
-    """Overshoot e*W_m(x) - (1+1/x)**x; positive for every x > 0, m >= 1.
+    """Overshoot e*W_m(x) - (1+1/x)**x, as a float.
 
-    The power comes from compound_power.  Near the gap's floor
-    (large x and m together) the subtraction is at the mercy of double
-    rounding, so callers should compare against tail_bound rather than
-    expect sign resolution below ~1e-15.
+    The true overshoot is positive for every x > 0 and m >= 1, since every
+    dropped term is.  The returned float is a difference of two doubles
+    near e (the power comes from compound_power), so below about 1e-15 it
+    can come out 0.0 or of either sign: at m = 6 it is -4.4e-16 at
+    x = 999 and 0.0 at x = 1000, and it is 0.0 for every m once the
+    float weight rounds to 1.0 (x above about 1e16).  Callers should
+    compare against tail_bound rather than expect sign resolution there.
     """
     factor = refinement_factor(x, terms, table)
     return E * factor.float_value - compound_power(x)
@@ -129,15 +141,7 @@ class DemoReport:
     note: str = DEMO_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "terms": self.terms,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "holds": self.holds,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> DemoReport:

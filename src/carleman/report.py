@@ -8,7 +8,7 @@ them (see README, "Report schema").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 PASS = "pass"
@@ -49,22 +49,10 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "claim_ref": c.claim_ref,
-                    "status": c.status,
-                    "detail": c.detail,
-                    "values": c.values,
-                }
-                for c in self.checks
-            ],
-            "summary": self.summary,
-        }
+        return {"checks": [asdict(c) for c in self.checks], "summary": self.summary}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def report_from_dict(payload: dict) -> VerificationReport:

@@ -195,15 +195,16 @@ def run_verification(
         table = CoefficientTable.from_recurrence(max_n)
     oracle = CoefficientTable.from_series_oracle(max_n)
     floats = table.floats()
+    ns = range(2, quad_max + 1)
+    # the moment and mirror sweeps both compare against the plain moment
+    plain = {n: coefficient_by_moment(n, config) for n in ns}
 
     def moment(n):
-        result = coefficient_by_moment(n, config)
-        return abs(result.value - floats[n - 1]), result.converged
+        return abs(plain[n].value - floats[n - 1]), plain[n].converged
 
     def mirror(n):
-        plain = coefficient_by_moment(n, config)
         mirrored = coefficient_by_moment(n, config, mirror=True)
-        return abs(plain.value - mirrored.value), plain.converged and mirrored.converged
+        return abs(plain[n].value - mirrored.value), plain[n].converged and mirrored.converged
 
     def parts(n):
         result = coefficient_by_parts(n, config)
@@ -213,7 +214,6 @@ def run_verification(
         by_quad = scaled_defect_by_quadrature(x, config)
         return abs(scaled_defect(x) - by_quad.value), by_quad.converged
 
-    ns = range(2, quad_max + 1)
     checks = (
         oracle_equivalence_check(table, oracle),
         bound_check(table),

@@ -185,6 +185,13 @@ def test_table_length_ceiling(capsys):
     (["verify", "--max-n", "30", "--quad-max", "10", "--inject-fault", "7"], 1,
      "verify_max30_fault7.json"),
     (["coeffs", "--max-n", "30", "--format", "json"], 0, "coeffs_max30.json"),
+    (["factor", "--x", "1", "--terms", "6"], 0, "factor_x1_terms6.txt"),
+    (["factor", "--x", "3/2", "--terms", "20", "--format", "json"], 0,
+     "factor_x3over2_terms20.json"),
+    (["factor", "--x", "2.5", "--format", "json"], 0, "factor_x2.5.json"),
+    (["factor", "--x", "100000000000000000000", "--format", "json"], 0, "factor_x1e20.json"),
+    (["demo", "--seq", str(GOLDEN / "demo_seq.csv"), "--terms", "20", "--format", "json"], 0,
+     "demo_seq_terms20.json"),
 ])
 def test_output_matches_golden(capsys, argv, code, golden):
     """Stdout is byte-identical to the committed output of the Fraction-based engine."""

@@ -7,6 +7,7 @@ import pytest
 from carleman import (
     E,
     PASS,
+    QuadratureConfig,
     coefficient_by_moment,
     coefficient_by_parts,
     density_identity_checks,
@@ -113,3 +114,13 @@ def test_large_order_concentration():
     result = scaled_derivative_moment(200)
     assert result.converged
     assert -1.0 < result.value < -0.9
+
+
+def test_scaled_estimate_decides_convergence():
+    # at n = 10**17 the raw integral settles within tolerance, but scaled
+    # by n its error estimate is ~7 and the value lies far outside the
+    # true range (-1, 0); that must not be reported as converged
+    config = QuadratureConfig(target_abs_tol=1e-12)
+    result = scaled_derivative_moment(10**17, config)
+    assert result.error_estimate > config.target_abs_tol
+    assert not result.converged

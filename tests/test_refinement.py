@@ -1,6 +1,7 @@
 """Refinement weights, overshoot, tail bound, and the finite demo."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,24 @@ from carleman import (
 
 # nothing here needs deep indices; 60 terms cover every m used below
 TABLE = CoefficientTable.from_recurrence(60)
+
+
+def fraction_horner(x, terms):
+    """Reference weight: a Horner pass over the Fraction view of the table."""
+    u = Fraction(1) / (Fraction(x) + 1)
+    acc = Fraction(0)
+    for k in range(terms, 0, -1):
+        acc = (acc + TABLE.value(k)) * u
+    return 1 - acc
+
+
+def float_horner(x, terms):
+    """Reference float weight over the correctly rounded entries."""
+    u = 1.0 / (float(x) + 1.0)
+    acc = 0.0
+    for k in range(terms, 0, -1):
+        acc = (acc + float(TABLE.value(k))) * u
+    return 1.0 - acc
 
 
 def test_one_term_weight_by_hand():
@@ -195,3 +214,29 @@ def test_weight_in_unit_interval_exact(p, q, m):
     assert 0.0 < factor.float_value < 1.0
     deeper = refinement_factor(Rational(p, q), m + 1, TABLE)
     assert deeper.exact_value < factor.exact_value
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**20),
+        st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    ),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_weight_matches_fraction_horner(x, m):
+    factor = refinement_factor(x, m, TABLE)
+    expected = fraction_horner(x, m)
+    assert factor.exact_value == expected
+    assert factor.float_value == float(expected)
+
+
+@given(
+    st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_float_weight_matches_float_horner(x, m):
+    factor = refinement_factor(x, m, TABLE)
+    assert factor.exact_value is None
+    assert factor.float_value == float_horner(x, m)
