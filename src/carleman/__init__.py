@@ -6,6 +6,8 @@ representations), verifies its quantitative properties, and evaluates
 the inequality-refinement weights the sequence gives rise to.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coefficients import (
     RECURRENCE,
     SERIES_ORACLE,
@@ -65,55 +67,9 @@ from .verify import corrupted_table, engine_config, run_verification
 
 __version__ = "0.1.0"
 
+# The public names are the ones imported above, in import order.
 __all__ = [
-    "RECURRENCE",
-    "SERIES_ORACLE",
-    "CoefficientTable",
-    "adjacent_ratios",
-    "bound_at",
-    "bound_check",
-    "monotonicity_check",
-    "oracle_equivalence_check",
-    "ratio_trend_check",
-    "table_invariants_ok",
-    "E",
-    "EndpointSafeFunction",
-    "entropy_weight",
-    "moment_density",
-    "moment_density_derivative",
-    "scaled_defect",
-    "scaled_defect_by_quadrature",
-    "coefficient_by_moment",
-    "coefficient_by_parts",
-    "density_identity_checks",
-    "scaled_derivative_moment",
-    "DEFAULT_CONFIG",
-    "QuadratureConfig",
-    "QuadratureResult",
-    "integrate",
-    "Rational",
-    "as_rational",
-    "is_exact",
-    "is_reduced",
-    "parse_rational",
-    "rational_str",
-    "to_decimal_str",
-    "DemoReport",
-    "RefinementFactor",
-    "carleman_demo",
-    "load_sequence_csv",
-    "refinement_factor",
-    "tail_bound",
-    "truncation_gap",
-    "FAIL",
-    "PASS",
-    "REPORTED",
-    "Check",
-    "VerificationReport",
-    "report_from_dict",
-    "report_from_json",
-    "corrupted_table",
-    "engine_config",
-    "run_verification",
-    "__version__",
-]
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+] + ["__version__"]

@@ -9,8 +9,9 @@ Subcommands:
     limit      endpoint-moment diagnostic L(n) = n * int s**n density'(s)
     integrals  the four closed-form density integrals
 
-Exit codes: 0 on success, 1 when a verification or demonstration fails
-(or a data file is unreadable), 2 for usage errors.  JSON output renders
+Exit codes: 0 on success, 1 when a verification or demonstration fails,
+a `limit` estimate does not converge, or a data file is unreadable, 2 for
+usage errors.  JSON output renders
 floats as shortest round-trip decimals and exact rationals as "p/q"
 strings, since JSON numbers cannot carry the latter.
 """
@@ -134,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("limit", help="endpoint-moment diagnostic L(n)")
+    p = sub.add_parser("limit", help="endpoint-moment diagnostic L(n)",
+                       description="Endpoint-moment diagnostic L(n); exits 1 when "
+                                   "the estimate did not converge.")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -257,7 +260,7 @@ def _cmd_limit(args) -> int:
         print(f"limit is -1; distance {abs(result.value + 1.0):.6e}")
         print(f"error estimate {result.error_estimate:.1e}, "
               f"levels {result.levels_used}, converged {result.converged}")
-    return 0
+    return 0 if result.converged else 1
 
 
 def _cmd_integrals(args) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .rational import Rational
@@ -45,10 +44,11 @@ class CoefficientTable:
 
     Entry n is numerators[n-1] / denominator: Python integers over one
     shared denominator, the least one, so gcd(denominator, *numerators)
-    is 1.  The exact checks compare these integers directly; `values`
-    (reduced Fractions, indexed from 1) is the public view.  `source`
-    records which construction produced the table; a finished table is
-    safe to share across threads.
+    is 1.  The exact checks compare these integers directly; `values`,
+    `value(n)` and iteration build reduced Fractions when called, so the
+    table holds nothing beyond these three fields.  `source` records
+    which construction produced the table; a finished table is safe to
+    share across threads.
     """
 
     numerators: tuple
@@ -59,18 +59,18 @@ class CoefficientTable:
     def max_n(self) -> int:
         return len(self.numerators)
 
-    @cached_property
+    @property
     def values(self) -> tuple:
-        """The entries as reduced Fractions, built on first use."""
+        """The entries c_1..c_max_n as reduced Fractions."""
         return tuple(Rational(v, self.denominator) for v in self.numerators)
 
     def value(self, n: int) -> "Rational":
         if not 1 <= n <= self.max_n:
             raise IndexError(f"n={n} outside table range 1..{self.max_n}")
-        return self.values[n - 1]
+        return Rational(self.numerators[n - 1], self.denominator)
 
     def __iter__(self) -> Iterator[tuple]:
-        return ((n, v) for n, v in enumerate(self.values, start=1))
+        return enumerate(self.values, start=1)
 
     def partial_sum(self, upto: int) -> "Rational":
         """Exact sum of the first `upto` coefficients."""
@@ -88,9 +88,7 @@ class CoefficientTable:
 
         With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q = n!), step n
         has c_n = X / (q*D) for the integers X = D*Q - (n+1)*A and
-        q = n*(n+1)*Q.  Then N_n = X/h over D*m, with h = gcd(X, q) and
-        m = q/h, and the earlier numerators are rescaled by m.  As
-        gcd(X/h, m) = 1, the shared denominator stays the least one.
+        q = n*(n+1)*Q; _append_reduced adds it to the table.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
@@ -99,13 +97,7 @@ class CoefficientTable:
             # sum_{k=0}^{n-2} c_{n-k-1}/(k+2): N_{n-1}, N_{n-2}, ... over 2, 3, ...
             a, q = _sum_over_2_up(nums[::-1])
             x = den * q - (n + 1) * a
-            q *= n * (n + 1)
-            h = math.gcd(x, q)
-            m = q // h
-            if m > 1:
-                nums = [v * m for v in nums]
-                den *= m
-            nums.append(x // h)
+            nums, den = _append_reduced(nums, den, x, q * n * (n + 1))
         return cls(numerators=tuple(nums), denominator=den, source=RECURRENCE)
 
     @classmethod
@@ -117,8 +109,8 @@ class CoefficientTable:
         recurrence for exp of a series with zero constant term:
         n*E_n = sum_{k=1}^n (k*a_k)*E_{n-k}, here k*a_k = -1/(k+1).
         The E_j are kept as integers F_j over the least shared D (F_0 = D):
-        with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D), reduced and
-        rescaled as in from_recurrence.
+        with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D), added by
+        _append_reduced.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
@@ -126,16 +118,27 @@ class CoefficientTable:
         for n in range(1, max_n + 1):
             # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
             a, q = _sum_over_2_up(exp_nums[::-1])
-            q *= n
-            h = math.gcd(a, q)
-            m = q // h
-            if m > 1:
-                exp_nums = [f * m for f in exp_nums]
-                den *= m
-            exp_nums.append(-a // h)
+            exp_nums, den = _append_reduced(exp_nums, den, -a, n * q)
         return cls(
             numerators=tuple(-f for f in exp_nums[1:]), denominator=den, source=SERIES_ORACLE
         )
+
+
+def _append_reduced(nums: list, den: int, x: int, q: int) -> tuple:
+    """(nums', den') after appending the entry x / (q*den) to nums over den.
+
+    With h = gcd(x, q) and m = q/h the entry is (x/h) / (m*den): the
+    earlier numerators are rescaled by m and x/h is appended.  As
+    gcd(x/h, m) = 1, a prime dividing den*m and every new numerator
+    divides den and every old one, so a least den stays least.
+    """
+    h = math.gcd(x, q)
+    m = q // h
+    if m > 1:
+        nums = [v * m for v in nums]
+        den *= m
+    nums.append(x // h)
+    return nums, den
 
 
 def _sum_over_2_up(terms: list) -> tuple:
@@ -245,12 +248,13 @@ def adjacent_ratios(table: CoefficientTable, ns: Sequence[int]) -> list[float]:
     return out
 
 
-def ratio_trend_check(table: CoefficientTable, start: int = 2) -> Check:
-    """Exact check that ratios stay below 1 and increase from `start` on.
+def ratio_trend_check(table: CoefficientTable) -> Check:
+    """Exact check that ratios stay below 1 and increase from n = 2 on.
 
     Increase of c_{n+1}/c_n is tested as log-convexity,
     N_n * N_{n+2} > N_{n+1}**2 on the shared-denominator numerators.
     """
+    start = 2
     if table.max_n < start + 2:
         raise ValueError("table too short for a ratio trend")
     nums = (None, *table.numerators)  # nums[n] is N_n

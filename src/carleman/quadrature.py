@@ -27,20 +27,20 @@ _PI_HALF = math.pi / 2.0
 _T_CAP = 4.5
 _WEIGHT_FLOOR = 1e-19
 
+# The step halves up to _MAX_LEVELS times; convergence counts from _MIN_LEVELS.
+_MIN_LEVELS = 3
+_MAX_LEVELS = 10
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Engine settings: absolute tolerance and refinement depth."""
+    """Engine settings: the absolute tolerance."""
 
     target_abs_tol: float = 1e-12
-    max_levels: int = 10
-    min_levels: int = 3
 
     def __post_init__(self):
         if self.target_abs_tol <= 0:
             raise ValueError("target_abs_tol must be positive")
-        if not 1 <= self.min_levels <= self.max_levels:
-            raise ValueError("need 1 <= min_levels <= max_levels")
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,13 @@ def integrate(func: Callable[[float], float], config: QuadratureConfig = DEFAULT
     error = math.inf
     streak = 0
     level = 0
-    for level in range(config.max_levels + 1):
+    for level in range(_MAX_LEVELS + 1):
         h = 1.0 / (1 << level)
         partial = _level_sum(func, level)
         value = partial * h if previous is None else 0.5 * value + partial * h
         if previous is not None:
             error = abs(value - previous)
-            if level >= config.min_levels:
+            if level >= _MIN_LEVELS:
                 if error <= config.target_abs_tol:
                     streak += 1
                     if streak >= 2:

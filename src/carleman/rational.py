@@ -34,8 +34,10 @@ def is_reduced(value) -> bool:
 
 
 def rational_str(value) -> str:
-    """Canonical 'p/q' form, denominator always written."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical 'p/q' form, denominator always written, at any size."""
+    # str(int) refuses more than sys.get_int_max_str_digits() digits, a cap
+    # set interpreter-wide; Decimal renders an int's digits without it.
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def to_decimal_str(value, digits: int = 15) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -151,6 +152,11 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
     zero entry appears every later geometric mean contains that factor
     and is zero outright, so the log path is skipped from there on.  RHS
     is e * sum_{n<=N} W_m(n)*a_n.  Both sums stop at N = len(seq).
+
+    Both sides are homogeneous of degree 1 in the entries, so when a sum
+    overflows or an entry is subnormal, both are taken over the entries
+    divided by the largest one and scaled back; ratio and verdict come
+    from the scaled sums.
     """
     if not seq:
         raise ValueError("sequence is empty")
@@ -159,27 +165,32 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
         raise ValueError("sequence entries must be nonnegative")
     if all(a == 0 for a in values):
         raise ValueError("sequence must not be all zero")
+    top = 1.0
+    lhs, rhs = _demo_sums(values, terms, table, top)
+    if not math.isfinite(lhs + rhs) or any(0.0 < a < sys.float_info.min for a in values):
+        top = max(values)
+        lhs, rhs = _demo_sums(values, terms, table, top)
+    return DemoReport(len(values), terms, top * lhs, top * rhs, lhs / rhs, lhs < rhs)
+
+
+def _demo_sums(values: list, terms: int, table: CoefficientTable, scale: float) -> tuple:
+    """(lhs, rhs) of carleman_demo for the entries divided by `scale`.
+
+    Both sums add left to right: sum() compensates from Python 3.12 on.
+    """
+    log_scale = math.log(scale)
     lhs = 0.0
+    weighted = 0.0
     log_sum = 0.0
     zero_seen = False
     for n, a in enumerate(values, start=1):
+        weighted += refinement_factor(n, terms, table).float_value * (a / scale)
         if a == 0.0:
             zero_seen = True
         if not zero_seen:
             log_sum += math.log(a)
-            lhs += math.exp(log_sum / n)
-    rhs = E * sum(
-        refinement_factor(n, terms, table).float_value * a
-        for n, a in enumerate(values, start=1)
-    )
-    return DemoReport(
-        length=len(values),
-        terms=terms,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs,
-        holds=lhs < rhs,
-    )
+            lhs += math.exp(log_sum / n - log_scale)
+    return lhs, E * weighted
 
 
 def load_sequence_csv(path) -> list[float]:

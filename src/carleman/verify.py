@@ -117,14 +117,15 @@ def _sweep_check(name, claim_ref, label, var, items, evaluate, tol) -> Check:
     )
 
 
-def partial_sum_check(table: CoefficientTable, ns=PARTIAL_SUM_NS) -> Check:
+def partial_sum_check(table: CoefficientTable) -> Check:
     """Sandwich 0 < (1 - 1/e) - sum_{n<=N} c_n < 1/(N+1) at each N.
 
+    N runs over the PARTIAL_SUM_NS within the table (max_n if none is).
     Partial sums are exact; the comparison is float with a 1e-12 guard
     on the lower side.
     """
     target = 1.0 - 1.0 / math.e
-    usable = [n for n in ns if n <= table.max_n] or [table.max_n]
+    usable = [n for n in PARTIAL_SUM_NS if n <= table.max_n] or [table.max_n]
     gaps = {}
     ok = True
     for n in usable:
@@ -145,14 +146,14 @@ def partial_sum_check(table: CoefficientTable, ns=PARTIAL_SUM_NS) -> Check:
     )
 
 
-def endpoint_limit_check(config: QuadratureConfig, ns=LIMIT_NS) -> Check:
+def endpoint_limit_check(config: QuadratureConfig) -> Check:
     """Reported drift of L(n) = n * int s**n * density'(s) ds toward -1.
 
-    No convergence rate is claimed anywhere, so this check never fails;
-    it records the sampled values and whether |L(n) + 1| shrank across
-    the sample.
+    L(n) is sampled at n in LIMIT_NS.  No convergence rate is claimed
+    anywhere, so this check never fails; it records the sampled values
+    and whether |L(n) + 1| shrank across the sample.
     """
-    values = [scaled_derivative_moment(n, config).value for n in ns]
+    values = [scaled_derivative_moment(n, config).value for n in LIMIT_NS]
     distances = [abs(v + 1.0) for v in values]
     shrinking = all(b < a for a, b in zip(distances, distances[1:]))
     return Check(
@@ -161,12 +162,12 @@ def endpoint_limit_check(config: QuadratureConfig, ns=LIMIT_NS) -> Check:
         status=REPORTED,
         detail=(
             "L(n) at n in "
-            + str(list(ns))
+            + str(list(LIMIT_NS))
             + ": "
             + ", ".join(f"{v:.9f}" for v in values)
             + f"; |L+1| strictly shrinking: {shrinking}"
         ),
-        values={"ns": list(ns), "L": values, "distance_to_limit": distances},
+        values={"ns": list(LIMIT_NS), "L": values, "distance_to_limit": distances},
     )
 
 

@@ -1,13 +1,15 @@
 """Command-line surface: rendering, exit codes, JSON contracts."""
 
 import json
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from carleman import CoefficientTable, parse_rational, report_from_json
+from carleman import CoefficientTable, parse_rational, refinement_factor, report_from_json
 from carleman.cli import MAX_TABLE_N, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +142,15 @@ def test_factor_at_large_x(capsys):
             assert parse_rational(payload["weight_exact"]) < 1
 
 
+def test_factor_prints_exact_weight_past_int_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "factor", "--x", "100000000000000000000", "--terms", "200")
+    assert code == 0
+    num, den = re.search(r"\(exact (-?\d+)/(\d+)\)", out).groups()
+    exact = refinement_factor(10**20, 200, CoefficientTable.from_recurrence(200)).exact_value
+    assert len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (exact.numerator, exact.denominator)
+
+
 def test_factor_at_subnormal_x(capsys):
     code, out, _ = run_cli(capsys, "factor", "--x", "1e-320", "--format", "json")
     assert code == 0
@@ -192,6 +203,8 @@ def test_table_length_ceiling(capsys):
     (["factor", "--x", "100000000000000000000", "--format", "json"], 0, "factor_x1e20.json"),
     (["demo", "--seq", str(GOLDEN / "demo_seq.csv"), "--terms", "20", "--format", "json"], 0,
      "demo_seq_terms20.json"),
+    (["integrals"], 0, "integrals.json"),
+    (["limit", "--n", "50", "--format", "json"], 0, "limit_n50.json"),
 ])
 def test_output_matches_golden(capsys, argv, code, golden):
     """Stdout is byte-identical to the committed output of the Fraction-based engine."""
@@ -209,6 +222,16 @@ def test_demo_runs(tmp_path, capsys):
     assert payload["rhs"] == pytest.approx(2.000168737223067, abs=1e-10)
     assert payload["holds"] is True
     assert "demonstration" in payload["note"]
+
+
+def test_demo_near_top_of_double_range(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("1e308\n1e308\n1e308\n")
+    code, out, _ = run_cli(capsys, "demo", "--seq", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    assert 0.0 < payload["ratio"] < 1.0
 
 
 def test_demo_missing_file(capsys):
@@ -233,6 +256,13 @@ def test_limit_json(capsys):
     payload = json.loads(out)
     assert payload["L"] == pytest.approx(-0.8402296922881743, abs=1e-8)
     assert payload["converged"] is True
+
+
+def test_limit_exits_1_when_not_converged(capsys):
+    code, out, _ = run_cli(capsys, "limit", "--n", "100000000000000000")
+    assert code == 1
+    assert out.endswith("converged False\n")
+    assert run_cli(capsys, "limit", "--n", "50")[0] == 0
 
 
 def test_integrals_report(capsys):

@@ -91,6 +91,13 @@ def test_iteration_and_floats(table200):
     assert table200.floats()[0] == 0.5
 
 
+def test_fraction_views_are_built_on_demand(table200):
+    assert table200.value(6) == table200.values[5] == Rational(3625, 580608)
+    assert list(table200)[5] == (6, Rational(3625, 580608))
+    # the frozen table caches nothing beside its fields
+    assert set(vars(table200)) == {"numerators", "denominator", "source"}
+
+
 def test_oracle_equivalence_200(table200, oracle200):
     check = oracle_equivalence_check(table200, oracle200)
     assert check.status == PASS

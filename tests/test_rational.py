@@ -1,5 +1,7 @@
 """Rational carrier: normalization, rendering, parsing."""
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,15 @@ def test_rational_str_always_writes_denominator():
     assert rational_str(Rational(1, 2)) == "1/2"
     assert rational_str(Rational(7)) == "7/1"
     assert rational_str(Rational(-3, 4)) == "-3/4"
+
+
+def test_rational_str_past_the_int_digit_limit():
+    # 7**6000 has 5071 digits, more than str(int) renders by default
+    for sign in (1, -1):
+        num, den = rational_str(Rational(sign * 7**6000, 3)).split("/")
+        assert len(num.lstrip("-")) == 5071
+        assert Decimal(num) == sign * 7**6000
+        assert den == "3"
 
 
 def test_parse_round_trip():

@@ -166,6 +166,15 @@ def test_demo_zero_propagation():
     assert report.rhs == pytest.approx(expected_rhs, abs=1e-12)
 
 
+@pytest.mark.parametrize("entry", [1e308, 5e-324])
+def test_demo_rescales_at_the_ends_of_the_double_range(entry):
+    # both sums overflow at 1e308, and a subnormal entry carries few
+    # digits; homogeneity gives the ratio of the all-ones sequence
+    report = carleman_demo([entry] * 3, 6, TABLE)
+    assert report.holds
+    assert report.ratio == pytest.approx(carleman_demo([1.0] * 3, 6, TABLE).ratio, rel=1e-14)
+
+
 def test_demo_validation():
     with pytest.raises(ValueError):
         carleman_demo([], 6, TABLE)
