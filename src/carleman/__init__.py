@@ -35,7 +35,7 @@ from .moments import (
     density_identity_checks,
     scaled_derivative_moment,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate
 from .rational import (
     Rational,
     as_rational,

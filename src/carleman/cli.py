@@ -43,19 +43,37 @@ from .verify import corrupted_table, engine_config, run_verification
 #: so `verify --max-n 2000` runs for about 40 s.
 MAX_TABLE_N = 2000
 
+#: Most significant digits of `coeffs --mode decimal` (--digits); at the cap
+#: a value prints shorter than the exact p/q of b_2000 (13 602 characters).
+MAX_DIGITS = 10000
 
-def _positive_int(text: str) -> int:
+
+def _positive_int(text: str, cap: float = math.inf) -> int:
+    """Integer in 1..cap whose float view exists (`limit` scales by float(n))."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}")
+    return _within_float_range(value)
 
 
 def _table_size(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_TABLE_N:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_TABLE_N}")
-    return value
+    return _positive_int(text, MAX_TABLE_N)
+
+
+def _digit_count(text: str) -> int:
+    return _positive_int(text, MAX_DIGITS)
+
+
+def _within_float_range(value):
+    """value, unless its float view overflows or underflows to 0."""
+    try:
+        if 0 < float(value) < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise argparse.ArgumentTypeError("outside the floating-point range")
 
 
 def _positive_float(text: str) -> float:
@@ -74,22 +92,16 @@ def _point(text: str):
             try:
                 value = int(text)
             except ValueError:
+                # an integer past the int() digit cap reads as inf here
                 value = float(text)
-                if not math.isfinite(value):
+                if math.isnan(value):
                     raise ValueError
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError("must be positive")
-    # an exact x is also evaluated in floating point, so its float view
-    # must neither overflow nor underflow to 0
-    try:
-        as_float = float(value)
-    except OverflowError:
-        as_float = math.inf
-    if not 0 < as_float < math.inf:
-        raise argparse.ArgumentTypeError("outside the floating-point range")
-    return value
+    # an exact x is also evaluated in floating point
+    return _within_float_range(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"table length, at most {MAX_TABLE_N} (default 10)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--mode", choices=("exact", "decimal"), default="exact")
-    p.add_argument("--digits", type=_positive_int, default=15,
-                   help="significant digits in decimal mode (default 15)")
+    p.add_argument("--digits", type=_digit_count, default=15,
+                   help=f"significant digits in decimal mode, at most {MAX_DIGITS} (default 15)")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("verify", help="run the verification sweep, JSON to stdout")

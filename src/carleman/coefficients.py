@@ -26,7 +26,6 @@ from .report import Check, FAIL, PASS
 RECURRENCE = "recurrence"
 SERIES_ORACLE = "series-oracle"
 
-CLAIM_RECURRENCE = "Eq. (1.1)"
 CLAIM_ORACLE = "Eq. (3.5)"
 CLAIM_BOUND = "Eq. (3.2)"
 CLAIM_DECREASE = "Eq. (3.3)"

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate
 
 E = math.e
 
@@ -95,9 +95,7 @@ def scaled_defect(x: float) -> float:
     return (x + 1.0) * (E - compound_power(x))
 
 
-def scaled_defect_by_quadrature(
-    x: float, config: QuadratureConfig = DEFAULT_CONFIG
-) -> QuadratureResult:
+def scaled_defect_by_quadrature(x: float, tol: float = 1e-12) -> QuadratureResult:
     """Integral form of the scaled defect: e/2 + int_0^1 density(s)/(x+s) ds."""
     if not x > 0:
         raise ValueError("x must be positive")
@@ -106,4 +104,4 @@ def scaled_defect_by_quadrature(
         at_zero=0.0,
         at_one=0.0,
     )
-    return integrate(integrand, config).scaled(1.0, offset=E / 2.0)
+    return integrate(integrand, tol).scaled(1.0, offset=E / 2.0)

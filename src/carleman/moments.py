@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 from .integrands import E, EndpointSafeFunction, moment_density, moment_density_derivative
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate
 from .report import Check, FAIL, PASS
 
 CLAIM_MOMENT_REP = "Eq. (3.1)"
@@ -29,9 +29,7 @@ CLAIM_REMARK = "Remark"
 CLAIM_ENDPOINT_LIMIT = "Eq. (2.3)"
 
 
-def coefficient_by_moment(
-    n: int, config: QuadratureConfig = DEFAULT_CONFIG, *, mirror: bool = False
-) -> QuadratureResult:
+def coefficient_by_moment(n: int, tol: float = 1e-12, *, mirror: bool = False) -> QuadratureResult:
     """c_n as (1/e) * int density(s) * s**(n-2) ds, for n >= 2.
 
     With mirror=True the equivalent (1-s)**(n-2) weighting is integrated
@@ -44,72 +42,67 @@ def coefficient_by_moment(
         func = lambda s: moment_density(s) * (1.0 - s) ** power
     else:
         func = lambda s: moment_density(s) * s**power
-    return integrate(func, config).scaled(1.0 / E)
+    return integrate(func, tol).scaled(1.0 / E)
 
 
-def coefficient_by_parts(n: int, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def coefficient_by_parts(n: int, tol: float = 1e-12) -> QuadratureResult:
     """c_n as -1/((n-1)e) * int density'(s) * s**(n-1) ds, for n >= 2."""
     if n < 2:
         raise ValueError("the integrated-by-parts representation needs n >= 2")
     power = n - 1
-    result = integrate(lambda s: moment_density_derivative(s) * s**power, config)
+    result = integrate(lambda s: moment_density_derivative(s) * s**power, tol)
     return result.scaled(-1.0 / ((n - 1) * E))
 
 
-def scaled_derivative_moment(n: int, config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def scaled_derivative_moment(n: int, tol: float = 1e-12) -> QuadratureResult:
     """n * int_0^1 s**n * density'(s) ds.
 
     As n grows the mass concentrates at s=1 and the value drifts toward
     density'(1) = -1; no convergence rate is asserted, callers report the
     observed values.  The error estimate is scaled by n with the value,
-    and `converged` also requires that scaled estimate to be within
-    `config.target_abs_tol`.
+    and `converged` also requires that scaled estimate to be within `tol`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    result = integrate(lambda s: moment_density_derivative(s) * s**n, config).scaled(float(n))
-    within = result.error_estimate <= config.target_abs_tol
+    result = integrate(lambda s: moment_density_derivative(s) * s**n, tol).scaled(float(n))
+    within = result.error_estimate <= tol
     return dataclasses.replace(result, converged=result.converged and within)
 
 
-#: The four closed-form integrals of the density: plain, first moment,
-#: and the two endpoint-weighted forms (which are equal).
+#: The four closed-form integrals of the density, as (name, formula,
+#: target, integrand, endpoint_weighted): plain, first moment, and the two
+#: endpoint-weighted forms, which are equal and whose integrands carry the
+#: endpoint limits explicitly.
 DENSITY_IDENTITIES = (
-    ("density-integral", "int density", E / 24.0),
-    ("density-first-moment", "int density * s", E / 48.0),
-    ("density-over-s", "int density / s", E / 2.0 - 1.0),
-    ("density-over-1-minus-s", "int density / (1-s)", E / 2.0 - 1.0),
+    ("density-integral", "int density", E / 24.0, moment_density, False),
+    ("density-first-moment", "int density * s", E / 48.0,
+     lambda s: moment_density(s) * s, False),
+    ("density-over-s", "int density / s", E / 2.0 - 1.0,
+     EndpointSafeFunction(lambda s: moment_density(s) / s, at_zero=1.0, at_one=0.0), True),
+    ("density-over-1-minus-s", "int density / (1-s)", E / 2.0 - 1.0,
+     EndpointSafeFunction(lambda s: moment_density(s) / (1.0 - s), at_zero=0.0, at_one=1.0),
+     True),
 )
 
 
 def _identity_integrands() -> dict:
-    return {
-        "density-integral": moment_density,
-        "density-first-moment": lambda s: moment_density(s) * s,
-        "density-over-s": EndpointSafeFunction(
-            lambda s: moment_density(s) / s, at_zero=1.0, at_one=0.0
-        ),
-        "density-over-1-minus-s": EndpointSafeFunction(
-            lambda s: moment_density(s) / (1.0 - s), at_zero=0.0, at_one=1.0
-        ),
-    }
+    return {name: integrand for name, _, _, integrand, _ in DENSITY_IDENTITIES}
 
 
 def density_identity_checks(
-    config: QuadratureConfig = DEFAULT_CONFIG,
+    engine_tol: float = 1e-12,
     tol: float = 1e-10,
     tol_endpoint_weighted: float = 1e-9,
 ) -> list[Check]:
     """Evaluate the four density integrals against their exact values.
 
-    The 1/s and 1/(1-s) forms get the looser tolerance; their integrands
-    carry the endpoint limits explicitly.
+    Each is integrated to `engine_tol`; the endpoint-weighted forms are
+    compared at the looser `tol_endpoint_weighted`, the others at `tol`.
     """
-    integrands = _identity_integrands()
     checks = []
-    for name, formula, target in DENSITY_IDENTITIES:
-        limit = tol_endpoint_weighted if name.startswith("density-over") else tol
-        result = integrate(integrands[name], config)
+    for name, formula, target, integrand, endpoint_weighted in DENSITY_IDENTITIES:
+        limit = tol_endpoint_weighted if endpoint_weighted else tol
+        result = integrate(integrand, engine_tol)
         diff = result.value - target
         ok = result.converged and abs(diff) <= limit
         checks.append(

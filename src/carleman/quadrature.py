@@ -33,17 +33,6 @@ _MAX_LEVELS = 10
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Engine settings: the absolute tolerance."""
-
-    target_abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.target_abs_tol <= 0:
-            raise ValueError("target_abs_tol must be positive")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
@@ -58,9 +47,6 @@ class QuadratureResult:
             levels_used=self.levels_used,
             converged=self.converged,
         )
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @functools.cache
@@ -99,14 +85,16 @@ def _level_sum(func: Callable[[float], float], level: int) -> float:
     return total
 
 
-def integrate(func: Callable[[float], float], config: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integrate func over [0,1].
+def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureResult:
+    """Integrate func over [0,1] to the absolute tolerance `tol` > 0.
 
     Returns the best value together with the level-difference error
     estimate; `converged` is only set when two consecutive refinements
-    stayed within `config.target_abs_tol`.  Non-convergence is not an
-    exception - the caller decides.
+    stayed within `tol`.  Non-convergence is not an exception - the
+    caller decides.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     value = 0.0
     previous = None
     error = math.inf
@@ -119,7 +107,7 @@ def integrate(func: Callable[[float], float], config: QuadratureConfig = DEFAULT
         if previous is not None:
             error = abs(value - previous)
             if level >= _MIN_LEVELS:
-                if error <= config.target_abs_tol:
+                if error <= tol:
                     streak += 1
                     if streak >= 2:
                         return QuadratureResult(value, error, level, True)

@@ -8,10 +8,14 @@ terms with a positive denominator.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 Rational = Fraction
+
+# An integer or 'p/q' string, as int() and Fraction() read them.
+_EXACT_FORM = re.compile(r"\s*([+-]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
 
 
 def is_exact(value) -> bool:
@@ -21,7 +25,14 @@ def is_exact(value) -> bool:
 
 def as_rational(value) -> Rational:
     """Coerce ints, Fractions, or 'p/q', integer and decimal strings to a Fraction."""
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:
+        # an integer or 'p/q' string past the int() digit cap (see rational_str)
+        match = isinstance(value, str) and _EXACT_FORM.fullmatch(value)
+        if not match:
+            raise
+        return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
 
 
 #: Inverse of rational_str; also accepts plain integers and decimals.

@@ -37,7 +37,6 @@ from .moments import (
     density_identity_checks,
     scaled_derivative_moment,
 )
-from .quadrature import QuadratureConfig
 from .report import Check, FAIL, PASS, REPORTED, VerificationReport
 
 CLAIM_GAP_FUNCTION = "Eq. (2.2)"
@@ -56,15 +55,15 @@ LIMIT_NS = (10, 50, 200)
 FLOAT_GUARD = 1e-12
 
 
-def engine_config(tol: float) -> QuadratureConfig:
-    """Engine tolerance two decades below the check tolerance.
+def engine_config(tol: float) -> float:
+    """Engine tolerance two decades below the check tolerance `tol` > 0.
 
     Clamped at 1e-15, about the best level-difference the engine can
     reach in double precision on these integrands.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    return QuadratureConfig(target_abs_tol=max(tol / 100.0, 1e-15))
+    return max(tol / 100.0, 1e-15)
 
 
 def corrupted_table(table: CoefficientTable, n: int) -> CoefficientTable:
@@ -146,14 +145,14 @@ def partial_sum_check(table: CoefficientTable) -> Check:
     )
 
 
-def endpoint_limit_check(config: QuadratureConfig) -> Check:
+def endpoint_limit_check(engine_tol: float) -> Check:
     """Reported drift of L(n) = n * int s**n * density'(s) ds toward -1.
 
     L(n) is sampled at n in LIMIT_NS.  No convergence rate is claimed
     anywhere, so this check never fails; it records the sampled values
     and whether |L(n) + 1| shrank across the sample.
     """
-    values = [scaled_derivative_moment(n, config).value for n in LIMIT_NS]
+    values = [scaled_derivative_moment(n, engine_tol).value for n in LIMIT_NS]
     distances = [abs(v + 1.0) for v in values]
     shrinking = all(b < a for a, b in zip(distances, distances[1:]))
     return Check(
@@ -189,30 +188,28 @@ def run_verification(
         raise ValueError("max_n must be >= 4")
     if not 2 <= quad_max <= max_n:
         raise ValueError("need 2 <= quad_max <= max_n")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    config = engine_config(tol)
+    engine_tol = engine_config(tol)
     if table is None:
         table = CoefficientTable.from_recurrence(max_n)
     oracle = CoefficientTable.from_series_oracle(max_n)
     floats = table.floats()
     ns = range(2, quad_max + 1)
     # the moment and mirror sweeps both compare against the plain moment
-    plain = {n: coefficient_by_moment(n, config) for n in ns}
+    plain = {n: coefficient_by_moment(n, engine_tol) for n in ns}
 
     def moment(n):
         return abs(plain[n].value - floats[n - 1]), plain[n].converged
 
     def mirror(n):
-        mirrored = coefficient_by_moment(n, config, mirror=True)
+        mirrored = coefficient_by_moment(n, engine_tol, mirror=True)
         return abs(plain[n].value - mirrored.value), plain[n].converged and mirrored.converged
 
     def parts(n):
-        result = coefficient_by_parts(n, config)
+        result = coefficient_by_parts(n, engine_tol)
         return abs(result.value - floats[n - 1]), result.converged
 
     def gap(x):
-        by_quad = scaled_defect_by_quadrature(x, config)
+        by_quad = scaled_defect_by_quadrature(x, engine_tol)
         return abs(scaled_defect(x) - by_quad.value), by_quad.converged
 
     checks = (
@@ -226,10 +223,10 @@ def run_verification(
                      "plain - mirrored", "n", ns, mirror, tol / 10.0),
         _sweep_check("parts-representation", CLAIM_PARTS_REP,
                      "quadrature - exact", "n", ns, parts, 10.0 * tol),
-        *density_identity_checks(config, tol, 10.0 * tol),
+        *density_identity_checks(engine_tol, tol, 10.0 * tol),
         _sweep_check("gap-function-agreement", CLAIM_GAP_FUNCTION,
                      "closed - integral", "x", GAP_SAMPLE_XS, gap, 10.0 * tol),
         partial_sum_check(table),
-        endpoint_limit_check(config),
+        endpoint_limit_check(engine_tol),
     )
     return VerificationReport(checks=checks)

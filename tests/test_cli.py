@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from carleman import CoefficientTable, parse_rational, refinement_factor, report_from_json
-from carleman.cli import MAX_TABLE_N, build_parser, main
+from carleman.cli import MAX_DIGITS, MAX_TABLE_N, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +180,17 @@ def test_factor_rejects_exact_x_below_float_range(capsys):
     assert "error: argument --x: outside the floating-point range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["1" + "0" * 5000, "1/1" + "0" * 5000])
+def test_factor_rejects_x_past_int_digit_limit(capsys, x):
+    # more digits than int() reads by default: still a number, out of range
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--x", x])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --x: outside the floating-point range" in err
+    assert "0" * 400 not in err
+
+
 def test_table_length_ceiling(capsys):
     for argv in (["coeffs", "--max-n"], ["verify", "--max-n"],
                  ["factor", "--x", "1", "--terms"]):
@@ -263,6 +274,31 @@ def test_limit_exits_1_when_not_converged(capsys):
     assert code == 1
     assert out.endswith("converged False\n")
     assert run_cli(capsys, "limit", "--n", "50")[0] == 0
+
+
+def test_limit_rejects_order_past_float_range(capsys):
+    # 2e308 overflows float(n); 1e308 does not and runs (not converged)
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--n", "2" + "0" * 308])
+    assert exc.value.code == 2
+    assert "error: argument --n: outside the floating-point range" in capsys.readouterr().err
+    assert run_cli(capsys, "limit", "--n", "1" + "0" * 308)[0] == 1
+
+
+def test_decimal_digits_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "coeffs", "--max-n", "2", "--mode", "decimal",
+                           "--digits", str(MAX_DIGITS))
+    assert code == 0
+    assert out.splitlines()[1].split()[1] == "0." + "5" + "0" * (MAX_DIGITS - 1)
+    for digits in (MAX_DIGITS + 1, 10**30):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--mode", "decimal", "--digits", str(digits)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --digits: must be at most {MAX_DIGITS}" in err
+    with pytest.raises(SystemExit):
+        main(["coeffs", "--help"])
+    assert f"at most {MAX_DIGITS}" in capsys.readouterr().out
 
 
 def test_integrals_report(capsys):

@@ -1,11 +1,20 @@
 """The tanh-sinh engine on [0,1]."""
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, integrate
+from carleman import (
+    QuadratureResult,
+    coefficient_by_moment,
+    coefficient_by_parts,
+    density_identity_checks,
+    integrate,
+    scaled_defect_by_quadrature,
+    scaled_derivative_moment,
+)
 
 
 def test_constant():
@@ -52,16 +61,15 @@ def test_nodes_stay_in_closed_interval():
 
 
 def test_converged_implies_error_within_tol():
-    config = QuadratureConfig(target_abs_tol=1e-12)
-    result = integrate(lambda s: math.exp(s), config)
+    tol = 1e-12
+    result = integrate(lambda s: math.exp(s), tol)
     assert result.converged
-    assert result.error_estimate <= config.target_abs_tol
+    assert result.error_estimate <= tol
     assert result.value == pytest.approx(math.e - 1.0, abs=1e-13)
 
 
 def test_unreachable_tolerance_reports_nonconvergence():
-    config = QuadratureConfig(target_abs_tol=1e-30)
-    result = integrate(lambda s: math.cos(7.0 * s), config)
+    result = integrate(lambda s: math.cos(7.0 * s), 1e-30)
     assert not result.converged
     assert math.isfinite(result.value)
     # every level of the fixed schedule, 0..10, was spent
@@ -71,8 +79,10 @@ def test_unreachable_tolerance_reports_nonconvergence():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(target_abs_tol=0.0)
+    # the tolerance is the engine's whole configuration; NaN fails `tol > 0`
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate(lambda s: 1.0, tol)
 
 
 def test_non_finite_integrand_rejected():
@@ -92,7 +102,16 @@ def test_scaled_result():
 
 
 def test_default_config():
-    assert DEFAULT_CONFIG.target_abs_tol == 1e-12
+    # the engine and every integral built on it default to tol 1e-12
+    for func, name in (
+        (integrate, "tol"),
+        (coefficient_by_moment, "tol"),
+        (coefficient_by_parts, "tol"),
+        (scaled_derivative_moment, "tol"),
+        (scaled_defect_by_quadrature, "tol"),
+        (density_identity_checks, "engine_tol"),
+    ):
+        assert inspect.signature(func).parameters[name].default == 1e-12, func.__name__
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=7))

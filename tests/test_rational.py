@@ -43,6 +43,16 @@ def test_rational_str_past_the_int_digit_limit():
         assert den == "3"
 
 
+def test_parse_past_the_int_digit_limit():
+    # the inverse of rational_str reads what it renders at any length
+    for value in (Rational(7**6000, 3), Rational(-3, 7**6000), Rational(7**6000)):
+        assert parse_rational(rational_str(value)) == value
+    assert parse_rational(" +" + "7" * 5000 + " ") == 7 * (10**5000 - 1) // 9
+    for text in ("1/-" + "1" * 5000, "1" * 5000 + ".5/3", "1" * 5000 + "x"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
 def test_parse_round_trip():
     for text in ("1/2", "73/5760", "-11/1280", "5/1"):
         assert rational_str(parse_rational(text)) == text

@@ -1,5 +1,6 @@
 """The assembled verification sweep."""
 
+import math
 import re
 
 import pytest
@@ -151,9 +152,10 @@ def test_parameter_validation():
 
 
 def test_engine_config_mapping():
-    assert engine_config(1e-10).target_abs_tol == 1e-12
-    assert engine_config(1e-6).target_abs_tol == 1e-8
+    assert engine_config(1e-10) == 1e-12
+    assert engine_config(1e-6) == 1e-8
     # clamped at the double-precision floor
-    assert engine_config(1e-14).target_abs_tol == 1e-15
-    with pytest.raises(ValueError):
-        engine_config(0.0)
+    assert engine_config(1e-14) == 1e-15
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            engine_config(tol)
