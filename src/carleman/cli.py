@@ -26,14 +26,8 @@ import sys
 from .coefficients import CoefficientTable, bound_at
 from .integrands import E, compound_power
 from .moments import density_identity_checks, scaled_derivative_moment
-from .rational import as_rational, is_exact, rational_str, to_decimal_str
-from .refinement import (
-    carleman_demo,
-    load_sequence_csv,
-    refinement_factor,
-    tail_bound,
-    truncation_gap,
-)
+from .rational import EXACT_FORM, as_rational, is_exact, rational_str, to_decimal_str
+from .refinement import carleman_demo, load_sequence_csv, refinement_factor, tail_bound
 from .report import VerificationReport
 from .verify import corrupted_table, engine_config, run_verification
 
@@ -47,10 +41,19 @@ MAX_TABLE_N = 2000
 #: a value prints shorter than the exact p/q of b_2000 (13 602 characters).
 MAX_DIGITS = 10000
 
+#: Largest exact weight `factor` computes, measured as terms * bit_length(p + q)
+#: for x = p/q (the weight's bits, less the table denominator's).  At the cap
+#: and --terms 2000 the integer Horner pass and the rendering take about 13 s
+#: on the host above, less than the 14-16 s of the table build itself.
+MAX_WEIGHT_BITS = 600_000
+
 
 def _positive_int(text: str, cap: float = math.inf) -> int:
     """Integer in 1..cap whose float view exists (`limit` scales by float(n))."""
-    value = int(text)
+    match = EXACT_FORM.fullmatch(text)
+    if not match or match["q"]:
+        raise ValueError(f"not an integer: {text!r}")
+    value = as_rational(text).numerator
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     if value > cap:
@@ -86,16 +89,9 @@ def _positive_float(text: str) -> float:
 def _point(text: str):
     """Evaluation point: 'p/q' or integer stays exact, decimals go float."""
     try:
-        if "/" in text:
-            value = as_rational(text)
-        else:
-            try:
-                value = int(text)
-            except ValueError:
-                # an integer past the int() digit cap reads as inf here
-                value = float(text)
-                if math.isnan(value):
-                    raise ValueError
+        value = as_rational(text) if EXACT_FORM.fullmatch(text) else float(text)
+        if value != value:  # NaN
+            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not value > 0:
@@ -133,11 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="refinement weight at one point")
     p.add_argument("--x", type=_point, required=True,
-                   help="evaluation point; 'p/q' or integer for the exact path")
+                   help="evaluation point; 'p/q' or integer for the exact path, "
+                        f"with terms * bit_length(p + q) at most {MAX_WEIGHT_BITS}")
     p.add_argument("--terms", type=_table_size, default=6,
                    help=f"truncation order m, at most {MAX_TABLE_N} (default 6)")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_factor)
+    p.set_defaults(func=lambda args: _cmd_factor(args, parser))
 
     p = sub.add_parser("demo", help="strengthened inequality over a CSV sequence")
     p.add_argument("--seq", required=True, metavar="FILE",
@@ -202,21 +199,27 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_factor(args) -> int:
-    table = CoefficientTable.from_recurrence(args.terms)
-    factor = refinement_factor(args.x, args.terms, table)
-    power = compound_power(args.x)
-    gap = truncation_gap(args.x, args.terms, table)
-    bound = tail_bound(args.x, args.terms)
-    x_out = rational_str(as_rational(args.x)) if is_exact(args.x) else args.x
+def _cmd_factor(args, parser) -> int:
+    x, terms = args.x, args.terms
+    size = terms * (x.numerator + x.denominator).bit_length() if is_exact(x) else 0
+    if size > MAX_WEIGHT_BITS:
+        parser.error(f"--x: an exact weight needs terms * bit_length(p + q) <= "
+                     f"{MAX_WEIGHT_BITS}, not {size}; give x as a decimal, such as {float(x)!r}")
+    table = CoefficientTable.from_recurrence(terms)
+    factor = refinement_factor(x, terms, table)
+    power = compound_power(x)
+    scaled_weight = E * factor.float_value
+    gap = scaled_weight - power  # truncation_gap, without a second exact pass
+    bound = tail_bound(x, terms)
+    x_out = rational_str(x) if is_exact(x) else x
     exact_out = None if factor.exact_value is None else rational_str(factor.exact_value)
     payload = {
         "x": x_out,
-        "terms": args.terms,
+        "terms": terms,
         "power": power,
         "weight": factor.float_value,
         "weight_exact": exact_out,
-        "scaled_weight": E * factor.float_value,
+        "scaled_weight": scaled_weight,
         "gap": gap,
         "tail_bound": bound,
     }
@@ -224,11 +227,11 @@ def _cmd_factor(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"x                 = {x_out}")
-        print(f"terms             = {args.terms}")
+        print(f"terms             = {terms}")
         print(f"(1 + 1/x)**x      = {power!r}")
         exact_note = "" if exact_out is None else f"   (exact {exact_out})"
         print(f"weight W(x)       = {factor.float_value!r}{exact_note}")
-        print(f"e * W(x)          = {E * factor.float_value!r}")
+        print(f"e * W(x)          = {scaled_weight!r}")
         print(f"overshoot         = {gap!r}")
         print(f"tail bound        = {bound!r}")
     return 0

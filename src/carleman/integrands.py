@@ -99,9 +99,4 @@ def scaled_defect_by_quadrature(x: float, tol: float = 1e-12) -> QuadratureResul
     """Integral form of the scaled defect: e/2 + int_0^1 density(s)/(x+s) ds."""
     if not x > 0:
         raise ValueError("x must be positive")
-    integrand = EndpointSafeFunction(
-        lambda s: _density_interior(s) / (x + s),
-        at_zero=0.0,
-        at_one=0.0,
-    )
-    return integrate(integrand, tol).scaled(1.0, offset=E / 2.0)
+    return integrate(lambda s: moment_density(s) / (x + s), tol).scaled(1.0, offset=E / 2.0)

@@ -22,9 +22,8 @@ from typing import Callable
 
 _PI_HALF = math.pi / 2.0
 
-# Abscissas past this point carry weights below ~1e-19 and cannot move a
-# double-precision result for bounded integrands.
-_T_CAP = 4.5
+# A level ends at its first weight below this (by t = 4 at every level): such
+# abscissas cannot move a double-precision result for bounded integrands.
 _WEIGHT_FLOOR = 1e-19
 
 # The step halves up to _MAX_LEVELS times; convergence counts from _MIN_LEVELS.
@@ -61,11 +60,9 @@ def _level_nodes(level: int) -> tuple:
     nodes = []
     for k in ks:
         t = k * h
-        if t > _T_CAP:
-            break
         ch = math.cosh(_PI_HALF * math.sinh(t))
         weight = _PI_HALF * math.cosh(t) / (2.0 * ch * ch)
-        if weight < _WEIGHT_FLOOR and k > 0:
+        if weight < _WEIGHT_FLOOR:
             break
         u = math.tanh(_PI_HALF * math.sinh(t))
         nodes.append((0.5 * (1.0 + u), 0.5 * (1.0 - u), weight, k == 0))

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# An integer or 'p/q' string, as int() and Fraction() read them.
-_EXACT_FORM = re.compile(r"\s*([+-]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+#: An integer or 'p/q' string, as int() and Fraction() read them; read at any length.
+EXACT_FORM = re.compile(r"\s*(?P<p>[+-]?\d+(?:_\d+)*)(?:/(?P<q>\d+(?:_\d+)*))?\s*")
 
 
 def is_exact(value) -> bool:
@@ -29,10 +29,10 @@ def as_rational(value) -> Rational:
         return Fraction(value)
     except ValueError:
         # an integer or 'p/q' string past the int() digit cap (see rational_str)
-        match = isinstance(value, str) and _EXACT_FORM.fullmatch(value)
+        match = isinstance(value, str) and EXACT_FORM.fullmatch(value)
         if not match:
             raise
-        return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
+        return Fraction(int(Decimal(match["p"])), int(Decimal(match["q"] or 1)))
 
 
 #: Inverse of rational_str; also accepts plain integers and decimals.

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from carleman import CoefficientTable, parse_rational, refinement_factor, report_from_json
-from carleman.cli import MAX_DIGITS, MAX_TABLE_N, build_parser, main
+from carleman import cli
+from carleman.cli import MAX_DIGITS, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,6 +192,67 @@ def test_factor_rejects_x_past_int_digit_limit(capsys, x):
     assert "0" * 400 not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["limit", "--n"], "outside the floating-point range"),
+    (["coeffs", "--max-n"], f"must be at most {MAX_TABLE_N}"),
+    (["coeffs", "--digits"], f"must be at most {MAX_DIGITS}"),
+    (["verify", "--max-n"], f"must be at most {MAX_TABLE_N}"),
+    (["verify", "--quad-max"], "outside the floating-point range"),
+    (["verify", "--inject-fault"], "outside the floating-point range"),
+    (["factor", "--x", "1", "--terms"], f"must be at most {MAX_TABLE_N}"),
+])
+def test_integer_options_past_int_digit_limit(capsys, argv, message):
+    """A 5000-digit integer is read in full and refused by its value, not echoed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["1" + "0" * 5000])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"carleman {argv[0]}: error: argument {argv[-1]}: {message}"
+    assert len(error.encode()) < 300
+
+
+def test_integer_options_read_only_integers(capsys):
+    for text in ("6/1", "1.5", "1e3"):
+        with pytest.raises(SystemExit):
+            main(["coeffs", "--max-n", text])
+        assert f"invalid _table_size value: '{text}'" in capsys.readouterr().err
+    assert build_parser().parse_args(["coeffs", "--max-n", " +1_0 "]).max_n == 10
+
+
+def test_factor_exact_weight_cap(capsys):
+    """A 100-digit p/q at --terms 2000 is refused before any table is built."""
+    x = f"{10**99 + 7}/{10**99}"
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--x", x, "--terms", str(MAX_TABLE_N)])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("carleman: error: --x: ")
+    assert error.endswith("give x as a decimal, such as 1.0")
+    assert len(error.encode()) < 300
+    with pytest.raises(SystemExit):
+        main(["factor", "--help"])
+    assert f"at most {MAX_WEIGHT_BITS}" in capsys.readouterr().out
+
+
+def test_factor_exact_weight_cap_boundary(capsys, monkeypatch):
+    # 3/2 has p + q = 5, of bit length 3
+    monkeypatch.setattr(cli, "MAX_WEIGHT_BITS", 12)
+    assert run_cli(capsys, "factor", "--x", "3/2", "--terms", "4")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--x", "3/2", "--terms", "5"])
+    assert exc.value.code == 2
+    assert "such as 1.5" in capsys.readouterr().err
+    assert run_cli(capsys, "factor", "--x", "1.5", "--terms", "5")[0] == 0
+
+
+def test_tolerance_option_reaches_the_checks(capsys):
+    code, out, _ = run_cli(capsys, "integrals", "--tol", "1e-8")
+    assert code == 0
+    limits = {c.name: c.values["tolerance"] for c in report_from_json(out).checks}
+    assert limits["density-integral"] == 1e-8
+    assert limits["density-over-s"] == pytest.approx(1e-7)
+
+
 def test_table_length_ceiling(capsys):
     for argv in (["coeffs", "--max-n"], ["verify", "--max-n"],
                  ["factor", "--x", "1", "--terms"]):
@@ -216,6 +278,7 @@ def test_table_length_ceiling(capsys):
      "demo_seq_terms20.json"),
     (["integrals"], 0, "integrals.json"),
     (["limit", "--n", "50", "--format", "json"], 0, "limit_n50.json"),
+    (["demo", "--seq", str(GOLDEN / "demo_seq.csv")], 0, "demo_seq.txt"),
 ])
 def test_output_matches_golden(capsys, argv, code, golden):
     """Stdout is byte-identical to the committed output of the Fraction-based engine."""
@@ -290,9 +353,11 @@ def test_decimal_digits_ceiling(capsys):
                            "--digits", str(MAX_DIGITS))
     assert code == 0
     assert out.splitlines()[1].split()[1] == "0." + "5" + "0" * (MAX_DIGITS - 1)
-    for digits in (MAX_DIGITS + 1, 10**30):
+    # 1000 digits is within int()'s default digit cap, not within the
+    # smallest one that PYTHONINTMAXSTRDIGITS can set (640)
+    for digits in (str(MAX_DIGITS + 1), str(10**30), "1" + "0" * 999):
         with pytest.raises(SystemExit) as exc:
-            main(["coeffs", "--mode", "decimal", "--digits", str(digits)])
+            main(["coeffs", "--mode", "decimal", "--digits", digits])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument --digits: must be at most {MAX_DIGITS}" in err

@@ -162,6 +162,12 @@ def test_ratio_trend(table200):
     assert 0.0 < check.values["last_ratio"] < 1.0
 
 
+def test_ratio_trend_needs_four_entries():
+    with pytest.raises(ValueError, match="too short"):
+        ratio_trend_check(CoefficientTable.from_recurrence(3))
+    assert ratio_trend_check(CoefficientTable.from_recurrence(4)).status == PASS
+
+
 def test_table_invariants(table200):
     assert table_invariants_ok(table200)
 

@@ -1,0 +1,84 @@
+"""A second numerical oracle: the integral representations at 30 digits.
+
+mpmath's `quad` is tanh-sinh as well, but an independent implementation in
+arbitrary precision.  At 30 digits it holds the paper's identities far
+below anything a double can resolve, and the package's double-precision
+results to their own tolerances.
+"""
+
+import pytest
+
+from carleman import (
+    CoefficientTable,
+    coefficient_by_moment,
+    scaled_defect,
+    scaled_defect_by_quadrature,
+)
+from carleman.moments import DENSITY_IDENTITIES
+from carleman.quadrature import integrate
+from carleman.verify import GAP_SAMPLE_XS
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+DIGITS = 30
+# relative agreement asked of a 30-digit integral; the worst seen is 1.7e-28
+ORACLE_REL = mpmath.mpf("1e-26")
+
+TABLE = CoefficientTable.from_recurrence(30)
+
+
+def density(s):
+    """(1/pi) s^s (1-s)^(1-s) sin(pi s) at working precision."""
+    return s**s * (1 - s) ** (1 - s) * mpmath.sin(mp.pi * s) / mp.pi
+
+
+def quad(func):
+    return mpmath.quad(func, [0, 1])
+
+
+def close(value, target):
+    return abs(value - target) <= ORACLE_REL * abs(target)
+
+
+@pytest.fixture(autouse=True)
+def thirty_digits():
+    with mpmath.workdps(DIGITS):
+        yield
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_moments_match_exact_table(n):
+    """Eq. (3.1): b_n = (1/e) int density(s) s^(n-2) ds, against the exact b_n."""
+    value = quad(lambda s: density(s) * s ** (n - 2)) / mp.e
+    exact = mpmath.mpf(TABLE.numerators[n - 1]) / TABLE.denominator
+    assert close(value, exact)
+    assert abs(coefficient_by_moment(n).value - float(exact)) <= 1e-12
+
+
+MP_IDENTITIES = {
+    "density-integral": (lambda s: density(s), lambda: mp.e / 24),
+    "density-first-moment": (lambda s: density(s) * s, lambda: mp.e / 48),
+    "density-over-s": (lambda s: density(s) / s, lambda: mp.e / 2 - 1),
+    "density-over-1-minus-s": (lambda s: density(s) / (1 - s), lambda: mp.e / 2 - 1),
+}
+
+
+@pytest.mark.parametrize("identity", DENSITY_IDENTITIES, ids=lambda row: row[0])
+def test_density_identities(identity):
+    name, _, target, integrand, _ = identity
+    mp_integrand, mp_target = MP_IDENTITIES[name]
+    exact = mp_target()
+    assert close(quad(mp_integrand), exact)
+    assert abs(target - exact) <= 1e-16
+    assert abs(integrate(integrand).value - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("x", GAP_SAMPLE_XS)
+def test_scaled_defect_two_faces(x):
+    """Eq. (2.2): (x+1)(e - (1+1/x)^x) = e/2 + int density(s)/(x+s) ds."""
+    x_mp = mpmath.mpf(x)
+    closed = (x_mp + 1) * (mp.e - (1 + 1 / x_mp) ** x_mp)
+    assert close(mp.e / 2 + quad(lambda s: density(s) / (x_mp + s)), closed)
+    assert abs(scaled_defect(x) - closed) <= 1e-11 * closed
+    assert abs(scaled_defect_by_quadrature(x).value - closed) <= 1e-12

@@ -15,6 +15,7 @@ from carleman import (
     scaled_defect_by_quadrature,
     scaled_derivative_moment,
 )
+from carleman.quadrature import _level_nodes
 
 
 def test_constant():
@@ -58,6 +59,12 @@ def test_nodes_stay_in_closed_interval():
     assert seen
     assert all(0.0 <= s <= 1.0 for s in seen)
     assert any(0.4 < s < 0.6 for s in seen)
+
+
+def test_level_node_counts():
+    """The 1e-19 weight floor alone ends each level, by t = 4 at every level."""
+    counts = [len(_level_nodes(level)) for level in range(11)]
+    assert counts == [4, 3, 7, 14, 27, 55, 109, 218, 437, 874, 1747]
 
 
 def test_converged_implies_error_within_tol():

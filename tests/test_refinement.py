@@ -20,6 +20,9 @@ from carleman import (
 # nothing here needs deep indices; 60 terms cover every m used below
 TABLE = CoefficientTable.from_recurrence(60)
 
+# e exceeds this partial sum of its series by less than 1e-49
+E_BELOW = sum(Fraction(1, math.factorial(k)) for k in range(41))
+
 
 def fraction_horner(x, terms):
     """Reference weight: a Horner pass over the Fraction view of the table."""
@@ -116,6 +119,17 @@ def test_overshoot_below_double_resolution():
     assert abs(truncation_gap(100, 6, TABLE)) <= 2e-15
 
 
+@pytest.mark.parametrize("x", [100, 999, 1000])
+def test_overshoot_sign_at_double_floor_exactly(x):
+    """e * W_6(x) > (1 + 1/x)**x where the float overshoot reads 0.0 or -4.4e-16.
+
+    With e above E_BELOW it is enough that E_BELOW * W_6(x) * x**x > (x + 1)**x,
+    a comparison of exact rationals.
+    """
+    weight = refinement_factor(x, 6, TABLE).exact_value
+    assert E_BELOW * weight * x**x > (x + 1) ** x
+
+
 def test_tail_bound_closed_form_at_x_one():
     # sum_{k>=1} (1/2)**k/(k(k+1)) telescopes to 1 - ln 2, so dropping
     # the k=1 term and scaling by e gives the m=1 bound at x=1
@@ -193,7 +207,7 @@ def test_demo_report_fields():
 
 def test_load_sequence_csv(tmp_path):
     path = tmp_path / "seq.csv"
-    path.write_text("1.5\n\n0\n2e-3\n")
+    path.write_text("1.5\n\n0\n  \n2e-3\n")
     assert load_sequence_csv(path) == [1.5, 0.0, 2e-3]
 
 
