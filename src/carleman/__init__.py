@@ -9,16 +9,12 @@ the inequality-refinement weights the sequence gives rise to.
 from types import ModuleType as _ModuleType
 
 from .coefficients import (
-    RECURRENCE,
-    SERIES_ORACLE,
     CoefficientTable,
-    adjacent_ratios,
     bound_at,
     bound_check,
     monotonicity_check,
     oracle_equivalence_check,
     ratio_trend_check,
-    table_invariants_ok,
 )
 from .integrands import (
     E,
@@ -40,8 +36,6 @@ from .rational import (
     Rational,
     as_rational,
     is_exact,
-    is_reduced,
-    parse_rational,
     rational_str,
     to_decimal_str,
 )

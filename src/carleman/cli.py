@@ -47,12 +47,26 @@ MAX_DIGITS = 10000
 #: on the host above, less than the 14-16 s of the table build itself.
 MAX_WEIGHT_BITS = 600_000
 
+#: Longest option value an error line quotes in full; a longer one keeps its two ends.
+MAX_QUOTED = 100
 
-def _positive_int(text: str, cap: float = math.inf) -> int:
-    """Integer in 1..cap whose float view exists (`limit` scales by float(n))."""
+
+def _quoted(text: str) -> str:
+    """repr(text), or the reprs of its first and last 30 characters and its length."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:30]!r}...{text[-30:]!r} ({len(text)} characters)"
+
+
+def _positive_int(text: str, cap: float = math.inf, name: str = "_positive_int") -> int:
+    """Integer in 1..cap whose float view exists (`limit` scales by float(n)).
+
+    Text of another form is refused as `invalid <name> value: '<text>'`, the
+    line argparse prints for a type function called `name`.
+    """
     match = EXACT_FORM.fullmatch(text)
     if not match or match["q"]:
-        raise ValueError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {_quoted(text)}")
     value = as_rational(text).numerator
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -62,11 +76,11 @@ def _positive_int(text: str, cap: float = math.inf) -> int:
 
 
 def _table_size(text: str) -> int:
-    return _positive_int(text, MAX_TABLE_N)
+    return _positive_int(text, MAX_TABLE_N, "_table_size")
 
 
 def _digit_count(text: str) -> int:
-    return _positive_int(text, MAX_DIGITS)
+    return _positive_int(text, MAX_DIGITS, "_digit_count")
 
 
 def _within_float_range(value):
@@ -80,7 +94,11 @@ def _within_float_range(value):
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid _positive_float value: {_quoted(text)}") from None
     if not value > 0 or not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be a positive finite number")
     return value
@@ -93,7 +111,7 @@ def _point(text: str):
         if value != value:  # NaN
             raise ValueError
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {_quoted(text)}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError("must be positive")
     # an exact x is also evaluated in floating point

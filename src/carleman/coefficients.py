@@ -18,18 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .rational import Rational
 from .report import Check, FAIL, PASS
-
-RECURRENCE = "recurrence"
-SERIES_ORACLE = "series-oracle"
-
-CLAIM_ORACLE = "Eq. (3.5)"
-CLAIM_BOUND = "Eq. (3.2)"
-CLAIM_DECREASE = "Eq. (3.3)"
-CLAIM_RATIO_LIMIT = "Eq. (3.4)"
 
 
 def bound_at(n: int) -> "Rational":
@@ -45,14 +37,12 @@ class CoefficientTable:
     shared denominator, the least one, so gcd(denominator, *numerators)
     is 1.  The exact checks compare these integers directly; `values`,
     `value(n)` and iteration build reduced Fractions when called, so the
-    table holds nothing beyond these three fields.  `source` records
-    which construction produced the table; a finished table is safe to
-    share across threads.
+    table holds nothing beyond these two fields, and a finished table is
+    safe to share across threads.
     """
 
     numerators: tuple
     denominator: int
-    source: str
 
     @property
     def max_n(self) -> int:
@@ -97,7 +87,7 @@ class CoefficientTable:
             a, q = _sum_over_2_up(nums[::-1])
             x = den * q - (n + 1) * a
             nums, den = _append_reduced(nums, den, x, q * n * (n + 1))
-        return cls(numerators=tuple(nums), denominator=den, source=RECURRENCE)
+        return cls(numerators=tuple(nums), denominator=den)
 
     @classmethod
     def from_series_oracle(cls, max_n: int) -> "CoefficientTable":
@@ -118,9 +108,7 @@ class CoefficientTable:
             # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
             a, q = _sum_over_2_up(exp_nums[::-1])
             exp_nums, den = _append_reduced(exp_nums, den, -a, n * q)
-        return cls(
-            numerators=tuple(-f for f in exp_nums[1:]), denominator=den, source=SERIES_ORACLE
-        )
+        return cls(numerators=tuple(-f for f in exp_nums[1:]), denominator=den)
 
 
 def _append_reduced(nums: list, den: int, x: int, q: int) -> tuple:
@@ -181,7 +169,7 @@ def bound_check(table: CoefficientTable) -> Check:
     )
     return Check(
         name="coefficient-bound",
-        claim_ref=CLAIM_BOUND,
+        claim_ref="Eq. (3.2)",
         status=PASS if ok else FAIL,
         detail=detail,
         values={"max_n": table.max_n, "equality_at": equalities, "violations": violations},
@@ -197,7 +185,7 @@ def monotonicity_check(table: CoefficientTable) -> Check:
     ok = not bad
     return Check(
         name="coefficient-decrease",
-        claim_ref=CLAIM_DECREASE,
+        claim_ref="Eq. (3.3)",
         status=PASS if ok else FAIL,
         detail=(
             f"c_{{n+1}} < c_n for all n < {table.max_n}"
@@ -222,7 +210,7 @@ def oracle_equivalence_check(table: CoefficientTable, oracle: CoefficientTable) 
     ok = not mismatches
     return Check(
         name="oracle-equivalence",
-        claim_ref=CLAIM_ORACLE,
+        claim_ref="Eq. (3.5)",
         status=PASS if ok else FAIL,
         detail=(
             f"recurrence and series oracle identical for n <= {upto}"
@@ -231,20 +219,6 @@ def oracle_equivalence_check(table: CoefficientTable, oracle: CoefficientTable) 
         ),
         values={"compared_n": upto, "mismatches": mismatches[:50]},
     )
-
-
-def adjacent_ratios(table: CoefficientTable, ns: Sequence[int]) -> list[float]:
-    """Float ratios c_{n+1}/c_n for the requested indices.
-
-    All ratios are below 1 (strict decrease) and the sequence climbs
-    toward 1; each requested n needs n and n+1 in the table.
-    """
-    out = []
-    for n in ns:
-        if not 1 <= n < table.max_n:
-            raise IndexError(f"ratio at n={n} needs entries n and n+1 in 1..{table.max_n}")
-        out.append(table.numerators[n] / table.numerators[n - 1])
-    return out
 
 
 def ratio_trend_check(table: CoefficientTable) -> Check:
@@ -265,7 +239,7 @@ def ratio_trend_check(table: CoefficientTable) -> Check:
     last_ratio = nums[-1] / nums[-2]
     return Check(
         name="ratio-trend",
-        claim_ref=CLAIM_RATIO_LIMIT,
+        claim_ref="Eq. (3.4)",
         status=PASS if ok else FAIL,
         detail=(
             f"ratios < 1 and strictly increasing for n in [{start}, {table.max_n - 1}]; "
@@ -274,12 +248,4 @@ def ratio_trend_check(table: CoefficientTable) -> Check:
             else f"below_one={below_one}, non-increasing at n={not_increasing[:10]}"
         ),
         values={"start": start, "upto": table.max_n - 1, "last_ratio": last_ratio},
-    )
-
-
-def table_invariants_ok(table: CoefficientTable) -> bool:
-    """Cheap structural sanity: the least shared denominator and the exact c_1 anchor."""
-    return (
-        2 * table.numerators[0] == table.denominator
-        and math.gcd(table.denominator, *table.numerators) == 1
     )

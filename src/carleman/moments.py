@@ -22,12 +22,6 @@ from .integrands import E, EndpointSafeFunction, moment_density, moment_density_
 from .quadrature import QuadratureResult, integrate
 from .report import Check, FAIL, PASS
 
-CLAIM_MOMENT_REP = "Eq. (3.1)"
-CLAIM_MOMENT_REP_SHIFTED = "Eq. (3.9)"
-CLAIM_PARTS_REP = "Eq. (3.10)"
-CLAIM_REMARK = "Remark"
-CLAIM_ENDPOINT_LIMIT = "Eq. (2.3)"
-
 
 def coefficient_by_moment(n: int, tol: float = 1e-12, *, mirror: bool = False) -> QuadratureResult:
     """c_n as (1/e) * int density(s) * s**(n-2) ds, for n >= 2.
@@ -108,7 +102,7 @@ def density_identity_checks(
         checks.append(
             Check(
                 name=name,
-                claim_ref=CLAIM_REMARK,
+                claim_ref="Remark",
                 status=PASS if ok else FAIL,
                 detail=f"{formula} = {result.value!r}, target {target!r}, diff {diff:.3e}",
                 values={

@@ -7,7 +7,6 @@ terms with a positive denominator.
 
 from __future__ import annotations
 
-import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -33,15 +32,6 @@ def as_rational(value) -> Rational:
         if not match:
             raise
         return Fraction(int(Decimal(match["p"])), int(Decimal(match["q"] or 1)))
-
-
-#: Inverse of rational_str; also accepts plain integers and decimals.
-parse_rational = as_rational
-
-
-def is_reduced(value) -> bool:
-    num, den = value.numerator, value.denominator
-    return den > 0 and math.gcd(abs(num), den) == 1
 
 
 def rational_str(value) -> str:

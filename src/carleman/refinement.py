@@ -41,8 +41,6 @@ class RefinementFactor:
     of 1 (x above about 1e16).
     """
 
-    x: object
-    terms: int
     float_value: float
     exact_value: Optional[object] = None
 
@@ -81,12 +79,12 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
             acc = acc * s + n_k * q_k
         whole = den * s**terms
         exact = Rational(whole - acc, whole)
-        return RefinementFactor(x=x, terms=terms, float_value=float(exact), exact_value=exact)
+        return RefinementFactor(float_value=float(exact), exact_value=exact)
     u = 1.0 / (float(x) + 1.0)
     acc = 0.0
     for n_k in reversed(nums):
         acc = (acc + n_k / den) * u
-    return RefinementFactor(x=x, terms=terms, float_value=1.0 - acc, exact_value=None)
+    return RefinementFactor(float_value=1.0 - acc)
 
 
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:

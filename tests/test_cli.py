@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from carleman import CoefficientTable, parse_rational, refinement_factor, report_from_json
+from carleman import CoefficientTable, as_rational, refinement_factor, report_from_json
 from carleman import cli
-from carleman.cli import MAX_DIGITS, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
+from carleman.cli import MAX_DIGITS, MAX_QUOTED, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,7 +42,7 @@ def test_coeffs_exact_strings_parse_back(capsys):
     table = CoefficientTable.from_recurrence(12)
     for line in out.splitlines():
         n, value, _bound = line.split(",")
-        assert parse_rational(value) == table.value(int(n))
+        assert as_rational(value) == table.value(int(n))
 
 
 def test_coeffs_json(capsys):
@@ -140,7 +140,7 @@ def test_factor_at_large_x(capsys):
         payload = json.loads(out)
         assert payload["weight"] == 1.0
         if payload["weight_exact"] is not None:
-            assert parse_rational(payload["weight_exact"]) < 1
+            assert as_rational(payload["weight_exact"]) < 1
 
 
 def test_factor_prints_exact_weight_past_int_digit_limit(capsys):
@@ -161,10 +161,20 @@ def test_factor_at_subnormal_x(capsys):
 
 
 def test_factor_rejects_nonpositive(capsys):
-    for bad in ("0", "-1", "0/5", "abc"):
+    for bad, message in [
+        ("0", "must be positive"),
+        ("-1", "must be positive"),
+        ("0/5", "must be positive"),
+        ("abc", "not a number: 'abc'"),
+        ("nan", "not a number: 'nan'"),
+        ("1/0", "not a number: '1/0'"),
+        ("inf", "outside the floating-point range"),
+    ]:
         with pytest.raises(SystemExit) as exc:
             main(["factor", "--x", bad])
         assert exc.value.code == 2, bad
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"carleman factor: error: argument --x: {message}"
 
 
 def test_factor_rejects_exact_x_above_float_range(capsys):
@@ -209,6 +219,33 @@ def test_integer_options_past_int_digit_limit(capsys, argv, message):
     error = capsys.readouterr().err.splitlines()[-1]
     assert error == f"carleman {argv[0]}: error: argument {argv[-1]}: {message}"
     assert len(error.encode()) < 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--max-n"], "invalid _table_size value: "),
+    (["coeffs", "--digits"], "invalid _digit_count value: "),
+    (["verify", "--max-n"], "invalid _table_size value: "),
+    (["verify", "--quad-max"], "invalid _positive_int value: "),
+    (["verify", "--tol"], "invalid _positive_float value: "),
+    (["verify", "--inject-fault"], "invalid _positive_int value: "),
+    (["factor", "--x"], "not a number: "),
+    (["factor", "--x", "1", "--terms"], "invalid _table_size value: "),
+    (["demo", "--seq", "seq.csv", "--terms"], "invalid _table_size value: "),
+    (["limit", "--n"], "invalid _positive_int value: "),
+    (["limit", "--tol"], "invalid _positive_float value: "),
+    (["integrals", "--tol"], "invalid _positive_float value: "),
+])
+def test_number_options_quote_a_long_non_number_by_its_ends(capsys, argv, message):
+    """Up to MAX_QUOTED characters are quoted in full, a longer value by its ends and length."""
+    prefix = f"carleman {argv[0]}: error: argument {argv[-1]}: {message}"
+    for text, quoted in [
+        ("x" * MAX_QUOTED, repr("x" * MAX_QUOTED)),
+        ("1" * 5000 + "x", f"'{'1' * 30}'...'{'1' * 29}x' (5001 characters)"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == prefix + quoted
 
 
 def test_integer_options_read_only_integers(capsys):

@@ -9,18 +9,14 @@ from hypothesis import given, settings, strategies as st
 from carleman import (
     FAIL,
     PASS,
-    RECURRENCE,
-    SERIES_ORACLE,
     CoefficientTable,
     Rational,
-    adjacent_ratios,
     bound_at,
     bound_check,
     corrupted_table,
     monotonicity_check,
     oracle_equivalence_check,
     ratio_trend_check,
-    table_invariants_ok,
 )
 
 # First twelve values, frozen.  The two independent exact constructions
@@ -45,13 +41,11 @@ FIRST_TWELVE = [
 def test_recurrence_first_twelve():
     table = CoefficientTable.from_recurrence(12)
     assert list(table.values) == FIRST_TWELVE
-    assert table.source == RECURRENCE
 
 
 def test_series_oracle_first_twelve():
     table = CoefficientTable.from_series_oracle(12)
     assert list(table.values) == FIRST_TWELVE
-    assert table.source == SERIES_ORACLE
 
 
 def test_second_coefficient_by_hand():
@@ -95,7 +89,7 @@ def test_fraction_views_are_built_on_demand(table200):
     assert table200.value(6) == table200.values[5] == Rational(3625, 580608)
     assert list(table200)[5] == (6, Rational(3625, 580608))
     # the frozen table caches nothing beside its fields
-    assert set(vars(table200)) == {"numerators", "denominator", "source"}
+    assert set(vars(table200)) == {"numerators", "denominator"}
 
 
 def test_oracle_equivalence_200(table200, oracle200):
@@ -116,6 +110,8 @@ def test_bound_check_equality_only_at_one(table200):
     assert check.status == PASS
     assert check.values["equality_at"] == [1]
     assert check.values["violations"] == []
+    with pytest.raises(ValueError, match="table is empty"):
+        bound_check(CoefficientTable(numerators=(), denominator=1))
 
 
 def test_monotonicity_check(table200):
@@ -149,13 +145,6 @@ def test_partial_sums_increase_below_limit(table200):
         previous = current
 
 
-def test_adjacent_ratios(table200):
-    assert adjacent_ratios(table200, [1]) == [float(Rational(1, 24) / Rational(1, 2))]
-    assert adjacent_ratios(table200, [1])[0] == pytest.approx(1.0 / 12.0)
-    with pytest.raises(IndexError):
-        adjacent_ratios(table200, [200])
-
-
 def test_ratio_trend(table200):
     check = ratio_trend_check(table200)
     assert check.status == PASS
@@ -169,7 +158,9 @@ def test_ratio_trend_needs_four_entries():
 
 
 def test_table_invariants(table200):
-    assert table_invariants_ok(table200)
+    # c_1 = 1/2 anchors the shared denominator, and that denominator is the least one
+    assert 2 * table200.numerators[0] == table200.denominator
+    assert math.gcd(table200.denominator, *table200.numerators) == 1
 
 
 def test_corrupted_table_breaks_decrease(table200):

@@ -10,6 +10,7 @@ from carleman import (
     E,
     CoefficientTable,
     Rational,
+    RefinementFactor,
     carleman_demo,
     load_sequence_csv,
     refinement_factor,
@@ -73,6 +74,12 @@ def test_weight_validation():
         refinement_factor(1.0, 0, TABLE)
     with pytest.raises(IndexError):
         refinement_factor(1.0, 61, TABLE)
+    for weight in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            RefinementFactor(float_value=weight)
+    for exact in (Rational(0), Rational(1), Rational(3, 2)):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            RefinementFactor(float_value=0.5, exact_value=exact)
 
 
 def test_weight_strictly_decreasing_in_terms():
