@@ -54,7 +54,6 @@ from .report import (
     REPORTED,
     Check,
     VerificationReport,
-    report_from_dict,
     report_from_json,
 )
 from .verify import corrupted_table, engine_config, run_verification

@@ -26,7 +26,9 @@ import sys
 from .coefficients import CoefficientTable, bound_at
 from .integrands import E, compound_power
 from .moments import density_identity_checks, scaled_derivative_moment
-from .rational import EXACT_FORM, as_rational, is_exact, rational_str, to_decimal_str
+from .rational import (
+    EXACT_FORM, MAX_QUOTED, _quoted, as_rational, is_exact, rational_str, to_decimal_str,
+)
 from .refinement import carleman_demo, load_sequence_csv, refinement_factor, tail_bound
 from .report import VerificationReport
 from .verify import corrupted_table, engine_config, run_verification
@@ -46,17 +48,6 @@ MAX_DIGITS = 10000
 #: and --terms 2000 the integer Horner pass and the rendering take about 13 s
 #: on the host above, less than the 14-16 s of the table build itself.
 MAX_WEIGHT_BITS = 600_000
-
-#: Longest option value an error line quotes in full; a longer one keeps its two ends.
-MAX_QUOTED = 100
-
-
-def _quoted(text: str) -> str:
-    """repr(text), or the reprs of its first and last 30 characters and its length."""
-    if len(text) <= MAX_QUOTED:
-        return repr(text)
-    return f"{text[:30]!r}...{text[-30:]!r} ({len(text)} characters)"
-
 
 def _positive_int(text: str, cap: float = math.inf, name: str = "_positive_int") -> int:
     """Integer in 1..cap whose float view exists (`limit` scales by float(n)).
@@ -177,15 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_rows(*rows) -> None:
+    """One `label = value` line per pair; str() of a float is its shortest repr."""
+    for label, value in rows:
+        print(f"{label:<18}= {value}")
+
+
 def _cmd_coeffs(args) -> int:
     table = CoefficientTable.from_recurrence(args.max_n)
-    rows = []
-    for n, value in table:
-        cap = bound_at(n)
-        if args.mode == "exact":
-            rows.append((n, rational_str(value), rational_str(cap)))
-        else:
-            rows.append((n, to_decimal_str(value, args.digits), to_decimal_str(cap, args.digits)))
+    render = rational_str if args.mode == "exact" else lambda v: to_decimal_str(v, args.digits)
+    rows = [(n, render(value), render(bound_at(n)))
+            for n, value in enumerate(table.values, start=1)]
     if args.format == "csv":
         for n, value, cap in rows:
             print(f"{n},{value},{cap}")
@@ -244,14 +237,10 @@ def _cmd_factor(args, parser) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"x                 = {x_out}")
-        print(f"terms             = {terms}")
-        print(f"(1 + 1/x)**x      = {power!r}")
         exact_note = "" if exact_out is None else f"   (exact {exact_out})"
-        print(f"weight W(x)       = {factor.float_value!r}{exact_note}")
-        print(f"e * W(x)          = {scaled_weight!r}")
-        print(f"overshoot         = {gap!r}")
-        print(f"tail bound        = {bound!r}")
+        _print_rows(("x", x_out), ("terms", terms), ("(1 + 1/x)**x", power),
+                    ("weight W(x)", f"{factor.float_value}{exact_note}"),
+                    ("e * W(x)", scaled_weight), ("overshoot", gap), ("tail bound", bound))
     return 0
 
 
@@ -259,6 +248,8 @@ def _cmd_demo(args) -> int:
     try:
         values = load_sequence_csv(args.seq)
     except (OSError, ValueError) as exc:
+        if getattr(exc, "filename", None) is not None:  # str(exc) would echo all of it
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     table = CoefficientTable.from_recurrence(args.terms)
@@ -266,12 +257,9 @@ def _cmd_demo(args) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(f"sequence length   = {report.length}")
-        print(f"terms             = {report.terms}")
-        print(f"sum of geo means  = {report.lhs!r}")
-        print(f"weighted rhs      = {report.rhs!r}")
-        print(f"ratio             = {report.ratio!r}")
-        print(f"lhs < rhs         = {report.holds}")
+        _print_rows(("sequence length", report.length), ("terms", report.terms),
+                    ("sum of geo means", report.lhs), ("weighted rhs", report.rhs),
+                    ("ratio", report.ratio), ("lhs < rhs", report.holds))
         print(f"note: {report.note}")
     return 0 if report.holds else 1
 

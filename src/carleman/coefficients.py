@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .rational import Rational
 from .report import Check, FAIL, PASS
@@ -57,9 +56,6 @@ class CoefficientTable:
         if not 1 <= n <= self.max_n:
             raise IndexError(f"n={n} outside table range 1..{self.max_n}")
         return Rational(self.numerators[n - 1], self.denominator)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return enumerate(self.values, start=1)
 
     def partial_sum(self, upto: int) -> "Rational":
         """Exact sum of the first `upto` coefficients."""

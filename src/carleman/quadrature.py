@@ -92,11 +92,8 @@ def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureR
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    value = 0.0
     previous = None
-    error = math.inf
     streak = 0
-    level = 0
     for level in range(_MAX_LEVELS + 1):
         h = 1.0 / (1 << level)
         partial = _level_sum(func, level)

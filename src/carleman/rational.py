@@ -16,6 +16,16 @@ Rational = Fraction
 #: An integer or 'p/q' string, as int() and Fraction() read them; read at any length.
 EXACT_FORM = re.compile(r"\s*(?P<p>[+-]?\d+(?:_\d+)*)(?:/(?P<q>\d+(?:_\d+)*))?\s*")
 
+#: Longest input text an error line quotes in full; a longer one keeps its two ends.
+MAX_QUOTED = 100
+
+
+def _quoted(text: str) -> str:
+    """repr(text), or the reprs of its first and last 30 characters and its length."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:30]!r}...{text[-30:]!r} ({len(text)} characters)"
+
 
 def is_exact(value) -> bool:
     """True for carriers of exact rational arithmetic (int and Fraction)."""

@@ -22,12 +22,7 @@ from typing import Optional, Sequence
 
 from .coefficients import CoefficientTable
 from .integrands import E, compound_power
-from .rational import Rational, is_exact
-
-#: Every demonstration report carries this caveat; both sums are cut at
-#: the sequence length, so the run illustrates the inequality rather than
-#: proving anything about infinite series.
-DEMO_NOTE = "finite truncation of both sums; a demonstration, not a proof"
+from .rational import Rational, _quoted, is_exact
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ class DemoReport:
     rhs: float
     ratio: float
     holds: bool
-    note: str = DEMO_NOTE
+    note: str = "finite truncation of both sums; a demonstration, not a proof"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,21 +195,25 @@ def load_sequence_csv(path) -> list[float]:
     """
     values = []
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise ValueError(f"line {lineno}: expected a single column, got {len(row)}")
-            text = row[0].strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"line {lineno}: not a number: {text!r}") from None
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
-            values.append(value)
+        reader = csv.reader(handle)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != 1:
+                    raise ValueError(f"line {lineno}: expected a single column, got {len(row)}")
+                text = row[0].strip()
+                if not text:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: not a number: {_quoted(text)}") from None
+                if not math.isfinite(value) or value < 0:
+                    raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
+                values.append(value)
+        except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not values:
         raise ValueError(f"no data in {path}")
     return values

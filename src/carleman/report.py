@@ -55,7 +55,8 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def report_from_dict(payload: dict) -> VerificationReport:
+def report_from_json(text: str) -> VerificationReport:
+    payload = json.loads(text)
     checks = tuple(
         Check(
             name=c["name"],
@@ -70,7 +71,3 @@ def report_from_dict(payload: dict) -> VerificationReport:
     if payload.get("summary") != report.summary:
         raise ValueError("summary does not match checks")
     return report
-
-
-def report_from_json(text: str) -> VerificationReport:
-    return report_from_dict(json.loads(text))

@@ -316,6 +316,12 @@ def test_table_length_ceiling(capsys):
     (["integrals"], 0, "integrals.json"),
     (["limit", "--n", "50", "--format", "json"], 0, "limit_n50.json"),
     (["demo", "--seq", str(GOLDEN / "demo_seq.csv")], 0, "demo_seq.txt"),
+    (["coeffs", "--max-n", "12"], 0, "coeffs_max12.txt"),
+    (["coeffs", "--max-n", "12", "--mode", "decimal", "--digits", "20"], 0,
+     "coeffs_max12_decimal20.txt"),
+    (["coeffs", "--max-n", "12", "--mode", "decimal", "--digits", "20", "--format", "csv"], 0,
+     "coeffs_max12_decimal20.csv"),
+    (["factor", "--x", "2.5"], 0, "factor_x2.5.txt"),
 ])
 def test_output_matches_golden(capsys, argv, code, golden):
     """Stdout is byte-identical to the committed output of the Fraction-based engine."""
@@ -359,6 +365,25 @@ def test_demo_malformed_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "single column" in captured.err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("a" * 5000 + "/seq.csv", None),
+    ("long-line.csv", "1" * 200_000 + "\n"),
+    ("long-non-number.csv", "x" * 100_000 + "\n"),
+    ("nul.csv", "1\n2\x003\n"),
+], ids=["long-path", "long-line", "long-non-number", "nul"])
+def test_demo_error_line_is_short(tmp_path, capsys, name, content):
+    """An unreadable file, a field past the csv limit, a long non-number and a NUL byte."""
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    code = main(["demo", "--seq", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line" if content else "error: [Errno")
+    assert len(lines[0].encode()) < 300
 
 
 def test_limit_json(capsys):

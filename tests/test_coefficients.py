@@ -78,16 +78,16 @@ def test_value_range_errors(table200):
 
 
 def test_iteration_and_floats(table200):
-    pairs = list(table200)
-    assert pairs[0] == (1, Rational(1, 2))
-    assert pairs[-1][0] == 200
+    values = table200.values
+    assert values[0] == Rational(1, 2)
+    assert len(values) == 200
     assert len(table200.floats()) == 200
     assert table200.floats()[0] == 0.5
 
 
 def test_fraction_views_are_built_on_demand(table200):
     assert table200.value(6) == table200.values[5] == Rational(3625, 580608)
-    assert list(table200)[5] == (6, Rational(3625, 580608))
+    assert table200.values is not table200.values
     # the frozen table caches nothing beside its fields
     assert set(vars(table200)) == {"numerators", "denominator"}
 
@@ -112,6 +112,22 @@ def test_bound_check_equality_only_at_one(table200):
     assert check.values["violations"] == []
     with pytest.raises(ValueError, match="table is empty"):
         bound_check(CoefficientTable(numerators=(), denominator=1))
+
+
+def test_sharp_constant_to_1001(table1001):
+    """b_n < 1/(e n(n+1)) for 2 <= n <= 1001, e times sharper than Eq. (3.2).
+
+    e_hi = sum_{k<=60} 1/k! + 1/(60! 60) lies above e, so n(n+1) N_n e_hi < D
+    proves the bound on the table's integers.  n(n+1) b_n rises from n = 3 on,
+    that is N_n n < N_{n+1} (n+2), and falls from n = 2 to 3.
+    """
+    e_hi = (sum(Fraction(1, math.factorial(k)) for k in range(61))
+            + Fraction(1, math.factorial(60) * 60))
+    nums, den = table1001.numerators, table1001.denominator
+    for n in range(2, 1002):
+        assert n * (n + 1) * nums[n - 1] * e_hi.numerator < den * e_hi.denominator, n
+    rises = [nums[n - 1] * n < nums[n] * (n + 2) for n in range(2, 1001)]
+    assert rises == [False] + [True] * 998
 
 
 def test_monotonicity_check(table200):

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "REPORTED",
     "Check",
     "VerificationReport",
-    "report_from_dict",
     "report_from_json",
     "corrupted_table",
     "engine_config",

@@ -10,7 +10,6 @@ from carleman import (
     REPORTED,
     Check,
     VerificationReport,
-    report_from_dict,
     report_from_json,
 )
 
@@ -66,4 +65,4 @@ def test_mismatched_summary_rejected():
     payload = make_report().to_dict()
     payload["summary"]["passed"] = 99
     with pytest.raises(ValueError):
-        report_from_dict(payload)
+        report_from_json(json.dumps(payload))
