@@ -58,28 +58,39 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
     built by the Horner step A = A*s + N_k*q**k, so the only rational is
     the result itself.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if terms > table.max_n:
-        raise IndexError(f"terms={terms} exceeds table range 1..{table.max_n}")
+    nums = _leading_numerators(terms, table)
     if not x > 0:
         raise ValueError("x must be positive")
-    nums, den = table.numerators[:terms], table.denominator
+    den = table.denominator
     if is_exact(x):
         q = x.denominator
         s = x.numerator + q
-        acc, q_k = 0, 1
-        for n_k in nums:
-            q_k *= q
-            acc = acc * s + n_k * q_k
         whole = den * s**terms
-        exact = Rational(whole - acc, whole)
+        exact = Rational(whole - _horner(nums, s, q), whole)
         return RefinementFactor(float_value=float(exact), exact_value=exact)
     u = 1.0 / (float(x) + 1.0)
     acc = 0.0
     for n_k in reversed(nums):
         acc = (acc + n_k / den) * u
     return RefinementFactor(float_value=1.0 - acc)
+
+
+def _leading_numerators(terms: int, table: CoefficientTable) -> tuple:
+    """N_1..N_terms of the table, once terms is checked against its range."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if terms > table.max_n:
+        raise IndexError(f"terms={terms} exceeds table range 1..{table.max_n}")
+    return table.numerators[:terms]
+
+
+def _horner(nums: tuple, s: int, q: int) -> int:
+    """A = sum_k N_k q**k s**(m-k) over nums = N_1..N_m, by A = A*s + N_k*q**k."""
+    acc, q_k = 0, 1
+    for n_k in nums:
+        q_k *= q
+        acc = acc * s + n_k * q_k
+    return acc
 
 
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
@@ -146,6 +157,11 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
     and is zero outright, so the log path is skipped from there on.  RHS
     is e * sum_{n<=N} W_m(n)*a_n.  Both sums stop at N = len(seq).
 
+    Each weight W_m(n) is refinement_factor(n, terms, table).float_value,
+    bit for bit, but is computed straight from the table's integers
+    without building a Fraction per entry (see _demo_sums).  terms is
+    checked once, with the ValueError or IndexError of refinement_factor.
+
     Both sides are homogeneous of degree 1 in the entries, so when a sum
     overflows or an entry is subnormal, both are taken over the entries
     divided by the largest one and scaled back; ratio and verdict come
@@ -158,26 +174,39 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
         raise ValueError("sequence entries must be nonnegative")
     if all(a == 0 for a in values):
         raise ValueError("sequence must not be all zero")
+    nums = _leading_numerators(terms, table)
     top = 1.0
-    lhs, rhs = _demo_sums(values, terms, table, top)
+    lhs, rhs = _demo_sums(values, nums, table.denominator, top)
     if not math.isfinite(lhs + rhs) or any(0.0 < a < sys.float_info.min for a in values):
         top = max(values)
-        lhs, rhs = _demo_sums(values, terms, table, top)
+        lhs, rhs = _demo_sums(values, nums, table.denominator, top)
     return DemoReport(len(values), terms, top * lhs, top * rhs, lhs / rhs, lhs < rhs)
 
 
-def _demo_sums(values: list, terms: int, table: CoefficientTable, scale: float) -> tuple:
+def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
     """(lhs, rhs) of carleman_demo for the entries divided by `scale`.
+
+    nums = N_1..N_m and den = D are the table's integers, c_k = N_k/D.  At
+    x = n the weight is (whole - A)/whole with s = n + 1, whole = D*s**m
+    and A = _horner(nums, s, 1): the exact branch of refinement_factor at
+    q = 1.  int / int rounds correctly, as float(Fraction) does, so each
+    weight equals refinement_factor(n, m, table).float_value exactly.
 
     Both sums add left to right: sum() compensates from Python 3.12 on.
     """
+    m = len(nums)
     log_scale = math.log(scale)
     lhs = 0.0
     weighted = 0.0
     log_sum = 0.0
     zero_seen = False
     for n, a in enumerate(values, start=1):
-        weighted += refinement_factor(n, terms, table).float_value * (a / scale)
+        s = n + 1
+        whole = den * s**m
+        acc = _horner(nums, s, 1)
+        if not 0 < acc < whole:
+            raise ValueError(f"exact weight {Rational(whole - acc, whole)} outside (0, 1)")
+        weighted += (whole - acc) / whole * (a / scale)
         if a == 0.0:
             zero_seen = True
         if not zero_seen:
@@ -215,5 +244,5 @@ def load_sequence_csv(path) -> list[float]:
         except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not values:
-        raise ValueError(f"no data in {path}")
+        raise ValueError(f"no data in {_quoted(str(path))}")
     return values

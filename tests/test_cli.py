@@ -367,22 +367,25 @@ def test_demo_malformed_file(tmp_path, capsys):
     assert "single column" in captured.err
 
 
-@pytest.mark.parametrize("name, content", [
-    ("a" * 5000 + "/seq.csv", None),
-    ("long-line.csv", "1" * 200_000 + "\n"),
-    ("long-non-number.csv", "x" * 100_000 + "\n"),
-    ("nul.csv", "1\n2\x003\n"),
-], ids=["long-path", "long-line", "long-non-number", "nul"])
-def test_demo_error_line_is_short(tmp_path, capsys, name, content):
-    """An unreadable file, a field past the csv limit, a long non-number and a NUL byte."""
+@pytest.mark.parametrize("name, content, prefix", [
+    ("a" * 5000 + "/seq.csv", None, "error: [Errno"),
+    ("/".join(["d" * 240] * 15) + "/empty.csv", "", "error: no data in"),
+    ("long-line.csv", "1" * 200_000 + "\n", "error: line"),
+    ("long-non-number.csv", "x" * 100_000 + "\n", "error: line"),
+    ("nul.csv", "1\n2\x003\n", "error: line"),
+], ids=["long-path", "long-path-empty", "long-line", "long-non-number", "nul"])
+def test_demo_error_line_is_short(tmp_path, capsys, name, content, prefix):
+    """An unreadable file, an empty file 3.6 kB deep in directories, a field
+    past the csv limit, a long non-number and a NUL byte."""
     path = tmp_path / name
     if content is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content)
     code = main(["demo", "--seq", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: line" if content else "error: [Errno")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
     assert len(lines[0].encode()) < 300
 
 

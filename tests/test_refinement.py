@@ -1,6 +1,7 @@
 """Refinement weights, overshoot, tail bound, and the finite demo."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,25 @@ def test_demo_rescales_at_the_ends_of_the_double_range(entry):
     assert report.ratio == pytest.approx(carleman_demo([1.0] * 3, 6, TABLE).ratio, rel=1e-14)
 
 
+@pytest.mark.parametrize("terms", [1, 6, 20])
+def test_demo_weights_are_refinement_factor_floats(terms):
+    # the demo's integer weights must be refinement_factor's floats bit for
+    # bit, summed in the same order: rhs is compared with ==, not approx.
+    # A long sum can absorb a 1-ulp weight error, so each weight up to
+    # n = 300 is also read alone, from a sequence that is zero before a_n = 1.
+    for n in range(1, 301):
+        alone = carleman_demo([0.0] * (n - 1) + [1.0], terms, TABLE)
+        assert alone.rhs == E * refinement_factor(n, terms, TABLE).float_value, n
+    rng = random.Random(20140)
+    seq = [(0.5 + rng.random()) / n for n in range(1, 5001)]
+    for i in (17, 1234, 4999):
+        seq[i] = 0.0
+    weighted = 0.0
+    for n, a in enumerate(seq, start=1):
+        weighted += refinement_factor(n, terms, TABLE).float_value * a
+    assert carleman_demo(seq, terms, TABLE).rhs == E * weighted
+
+
 def test_demo_validation():
     with pytest.raises(ValueError):
         carleman_demo([], 6, TABLE)
@@ -203,6 +223,10 @@ def test_demo_validation():
         carleman_demo([1.0, -2.0], 6, TABLE)
     with pytest.raises(ValueError):
         carleman_demo([0.0, 0.0], 6, TABLE)
+    with pytest.raises(ValueError, match="terms must be >= 1"):
+        carleman_demo([1.0, 2.0], 0, TABLE)
+    with pytest.raises(IndexError, match="exceeds table range"):
+        carleman_demo([1.0, 2.0], TABLE.max_n + 1, TABLE)
 
 
 def test_demo_report_fields():
