@@ -80,7 +80,7 @@ class CoefficientTable:
         nums, den = [1], 2
         for n in range(2, max_n + 1):
             # sum_{k=0}^{n-2} c_{n-k-1}/(k+2): N_{n-1}, N_{n-2}, ... over 2, 3, ...
-            a, q = _sum_over_2_up(nums[::-1])
+            a, q = _sum_over_2_up(nums)
             x = den * q - (n + 1) * a
             nums, den = _append_reduced(nums, den, x, q * n * (n + 1))
         return cls(numerators=tuple(nums), denominator=den)
@@ -102,7 +102,7 @@ class CoefficientTable:
         exp_nums, den = [1], 1
         for n in range(1, max_n + 1):
             # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
-            a, q = _sum_over_2_up(exp_nums[::-1])
+            a, q = _sum_over_2_up(exp_nums)
             exp_nums, den = _append_reduced(exp_nums, den, -a, n * q)
         return cls(numerators=tuple(-f for f in exp_nums[1:]), denominator=den)
 
@@ -117,21 +117,19 @@ def _append_reduced(nums: list, den: int, x: int, q: int) -> tuple:
     """
     h = math.gcd(x, q)
     m = q // h
-    if m > 1:
-        nums = [v * m for v in nums]
-        den *= m
+    nums = [v * m for v in nums]
     nums.append(x // h)
-    return nums, den
+    return nums, den * m
 
 
 def _sum_over_2_up(terms: list) -> tuple:
-    """(A, Q) with A/Q = sum_i terms[i]/(i+2) and Q = (len(terms)+1)!.
+    """(A, Q) with A/Q = sum_i terms[-1-i]/(i+2) and Q = (len(terms)+1)!.
 
     Neighbours are merged pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a
     big numerator mostly meets a small denominator and no gcd is taken;
     this costs far less than bringing every term to lcm(2, 3, ...).
     """
-    parts = [(t, i + 2) for i, t in enumerate(terms)]
+    parts = [(t, k) for k, t in enumerate(reversed(terms), start=2)]
     while len(parts) > 1:
         merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(parts[::2], parts[1::2])]
         if len(parts) % 2:

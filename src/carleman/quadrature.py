@@ -92,20 +92,13 @@ def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureR
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    previous = None
+    value = _level_sum(func, 0)
     streak = 0
-    for level in range(_MAX_LEVELS + 1):
-        h = 1.0 / (1 << level)
-        partial = _level_sum(func, level)
-        value = partial * h if previous is None else 0.5 * value + partial * h
-        if previous is not None:
-            error = abs(value - previous)
-            if level >= _MIN_LEVELS:
-                if error <= tol:
-                    streak += 1
-                    if streak >= 2:
-                        return QuadratureResult(value, error, level, True)
-                else:
-                    streak = 0
+    for level in range(1, _MAX_LEVELS + 1):
         previous = value
-    return QuadratureResult(value, error, level, False)
+        value = 0.5 * value + _level_sum(func, level) / (1 << level)
+        error = abs(value - previous)
+        streak = streak + 1 if level >= _MIN_LEVELS and error <= tol else 0
+        if streak == 2:
+            return QuadratureResult(value, error, level, True)
+    return QuadratureResult(value, error, _MAX_LEVELS, False)

@@ -34,14 +34,11 @@ def is_exact(value) -> bool:
 
 def as_rational(value) -> Rational:
     """Coerce ints, Fractions, or 'p/q', integer and decimal strings to a Fraction."""
-    try:
+    match = isinstance(value, str) and EXACT_FORM.fullmatch(value)
+    if not match:
         return Fraction(value)
-    except ValueError:
-        # an integer or 'p/q' string past the int() digit cap (see rational_str)
-        match = isinstance(value, str) and EXACT_FORM.fullmatch(value)
-        if not match:
-            raise
-        return Fraction(int(Decimal(match["p"])), int(Decimal(match["q"] or 1)))
+    # Decimal reads integers of any length; int() stops at its digit cap (see rational_str)
+    return Fraction(int(Decimal(match["p"])), int(Decimal(match["q"] or 1)))
 
 
 def rational_str(value) -> str:

@@ -223,7 +223,7 @@ def load_sequence_csv(path) -> list[float]:
     with the offending line number in the message.
     """
     values = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             for lineno, row in enumerate(reader, start=1):

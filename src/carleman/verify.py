@@ -80,12 +80,9 @@ def _sweep_check(name, claim_ref, label, var, items, evaluate, tol) -> Check:
     "x" over a list of sample points; the check passes when every
     evaluation converged and the worst difference is within `tol`.
     """
-    worst, worst_at, all_converged = -1.0, None, True
-    for item in items:
-        diff, converged = evaluate(item)
-        all_converged = all_converged and converged
-        if diff > worst:
-            worst, worst_at = diff, item
+    results = [(item, *evaluate(item)) for item in items]
+    worst_at, worst, _ = max(results, key=lambda result: result[1])
+    all_converged = all(converged for _, _, converged in results)
     if var == "n":
         span, scope = f"[{items[0]}, {items[-1]}]", {"quad_max": items[-1]}
     else:
@@ -113,17 +110,13 @@ def partial_sum_check(table: CoefficientTable) -> Check:
     """Sandwich 0 < (1 - 1/e) - sum_{n<=N} c_n < 1/(N+1) at each N.
 
     N runs over the PARTIAL_SUM_NS within the table (max_n if none is).
-    Partial sums are exact; the comparison is float with a 1e-12 guard
-    on the lower side.
+    Partial sums are exact integer sums over D, rounded once to float; the
+    comparison is float with a 1e-12 guard on the lower side.
     """
     target = 1.0 - 1.0 / math.e
     usable = [n for n in PARTIAL_SUM_NS if n <= table.max_n] or [table.max_n]
-    gaps = {}
-    ok = True
-    for n in usable:
-        gap = target - float(table.partial_sum(n))
-        gaps[n] = gap
-        ok = ok and FLOAT_GUARD < gap < 1.0 / (n + 1)
+    gaps = [target - sum(table.numerators[:n]) / table.denominator for n in usable]
+    ok = all(FLOAT_GUARD < gap < 1.0 / (n + 1) for n, gap in zip(usable, gaps))
     return Check(
         name="partial-sum-sandwich",
         claim_ref="Remark",
@@ -132,9 +125,9 @@ def partial_sum_check(table: CoefficientTable) -> Check:
             "gap to 1 - 1/e at N in "
             + str(usable)
             + ": "
-            + ", ".join(f"{gaps[n]:.6e} (cap {1.0 / (n + 1):.3e})" for n in usable)
+            + ", ".join(f"{g:.6e} (cap {1.0 / (n + 1):.3e})" for n, g in zip(usable, gaps))
         ),
-        values={"ns": usable, "gaps": [gaps[n] for n in usable]},
+        values={"ns": usable, "gaps": gaps},
     )
 
 

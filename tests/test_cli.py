@@ -367,6 +367,17 @@ def test_demo_malformed_file(tmp_path, capsys):
     assert "single column" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_demo_reads_utf8_byte_order_mark(tmp_path, capsys, fmt):
+    """A "CSV UTF-8" export starts with the mark U+FEFF; the demo reads past it."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1.5\n2\n0.25\n")
+    marked.write_bytes(b"\xef\xbb\xbf1.5\n2\n0.25\n")
+    expected = run_cli(capsys, "demo", "--seq", str(plain), "--format", fmt)
+    assert expected[0] == 0
+    assert run_cli(capsys, "demo", "--seq", str(marked), "--format", fmt) == expected
+
+
 @pytest.mark.parametrize("name, content, prefix", [
     ("a" * 5000 + "/seq.csv", None, "error: [Errno"),
     ("/".join(["d" * 240] * 15) + "/empty.csv", "", "error: no data in"),

@@ -85,6 +85,21 @@ def test_unreachable_tolerance_reports_nonconvergence():
     assert result.value == pytest.approx(math.sin(7.0) / 7.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("func, levels", [
+    (lambda s: 1.0, 4),
+    (lambda s: s, 4),
+    (math.sqrt, 4),
+    (lambda s: math.cos(7.0 * s), 5),
+], ids=["one", "s", "sqrt", "cos7s"])
+def test_convergence_counts_two_small_differences_from_level_3(func, levels):
+    """The level-3 difference is the first that counts; two in a row end the run."""
+    result = integrate(func)
+    assert result.converged and result.levels_used == levels
+    # at tol 0.1 the differences of levels 1 and 2 are within tol already
+    result = integrate(func, 0.1)
+    assert result.converged and result.levels_used == 4
+
+
 def test_config_validation():
     # the tolerance is the engine's whole configuration; NaN fails `tol > 0`
     for tol in (0.0, -1e-12, math.nan):

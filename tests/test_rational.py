@@ -1,7 +1,9 @@
 """Rational carrier: normalization, rendering, parsing."""
 
 import math
+import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +55,33 @@ def test_parse_past_the_int_digit_limit():
         assert as_rational(rational_str(value)) == value
     assert as_rational(" +" + "7" * 5000 + " ") == 7 * (10**5000 - 1) // 9
     for text in ("1/-" + "1" * 5000, "1" * 5000 + ".5/3", "1" * 5000 + "x"):
+        with pytest.raises(ValueError):
+            as_rational(text)
+
+
+_digit_groups = st.lists(st.text("0123456789", min_size=1, max_size=8), min_size=1, max_size=5)
+_blank = st.sampled_from(["", " ", "\t", " \n "])
+
+
+@given(
+    _blank,
+    st.sampled_from(["", "+", "-"]),
+    _digit_groups.map("_".join),
+    st.none() | _digit_groups.map("_".join).filter(lambda q: int(q.replace("_", "")) > 0),
+    _blank,
+)
+def test_parse_integers_and_ratios_as_fraction_does(lead, sign, p, q, trail):
+    """Signed integers and p/q strings with underscores and blanks, below the digit cap."""
+    text = lead + sign + p + ("" if q is None else "/" + q) + trail
+    # Fraction reads underscores from Python 3.11 on
+    expected = Fraction(text if sys.version_info >= (3, 11) else text.replace("_", ""))
+    assert as_rational(text) == expected
+
+
+def test_parse_errors():
+    with pytest.raises(ZeroDivisionError):
+        as_rational("1/0")
+    for text in ("abc", "0." + "1" * 5000):
         with pytest.raises(ValueError):
             as_rational(text)
 

@@ -14,6 +14,7 @@ from carleman import (
     engine_config,
     run_verification,
 )
+from carleman.verify import partial_sum_check
 
 # wire format: these names and their order are frozen
 EXPECTED_CHECK_NAMES = [
@@ -121,6 +122,18 @@ def test_sweep_check_layout(small_report):
         gap.detail,
     ), gap.detail
     assert by_name["moment-mirror-agreement"].detail.endswith("tolerance 1.0e-11")
+
+
+@pytest.mark.parametrize("max_n, ns", [(5, [5]), (30, [10]), (200, [10, 50, 200])])
+def test_partial_sum_gaps_match_fraction_sums(max_n, ns):
+    """Each gap is bit for bit the one computed from the reduced Fraction sum."""
+    table = CoefficientTable.from_recurrence(max_n)
+    check = partial_sum_check(table)
+    assert check.status == PASS
+    assert check.values["ns"] == ns
+    assert check.values["gaps"] == [
+        (1 - 1 / math.e) - float(table.partial_sum(n)) for n in ns
+    ]
 
 
 def test_fault_injection_fails_decrease_check():
