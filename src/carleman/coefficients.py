@@ -35,9 +35,9 @@ class CoefficientTable:
     Entry n is numerators[n-1] / denominator: Python integers over one
     shared denominator, the least one, so gcd(denominator, *numerators)
     is 1.  The exact checks compare these integers directly; `values`,
-    `value(n)` and iteration build reduced Fractions when called, so the
-    table holds nothing beyond these two fields, and a finished table is
-    safe to share across threads.
+    `value(n)` and `partial_sum` build reduced Fractions when called, so
+    the table holds nothing beyond these two fields, and a finished table
+    is safe to share across threads.
     """
 
     numerators: tuple

@@ -15,6 +15,7 @@ bound, and runs the strengthened comparison on finite sequences.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -55,8 +56,8 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
 
     The exact pass runs on the table's integers: with x = p/q, s = p + q
     and c_k = N_k/D, the sum is A/(D*s**m) for A = sum_k N_k q**k s**(m-k),
-    built by the Horner step A = A*s + N_k*q**k, so the only rational is
-    the result itself.
+    built by _weight's Horner step A = A*s + N_k*q**k, so the only
+    rational is the result itself.
     """
     nums = _leading_numerators(terms, table)
     if not x > 0:
@@ -64,9 +65,7 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
     den = table.denominator
     if is_exact(x):
         q = x.denominator
-        s = x.numerator + q
-        whole = den * s**terms
-        exact = Rational(whole - _horner(nums, s, q), whole)
+        exact = Rational(*_weight(nums, den, x.numerator + q, q))
         return RefinementFactor(float_value=float(exact), exact_value=exact)
     u = 1.0 / (float(x) + 1.0)
     acc = 0.0
@@ -84,13 +83,14 @@ def _leading_numerators(terms: int, table: CoefficientTable) -> tuple:
     return table.numerators[:terms]
 
 
-def _horner(nums: tuple, s: int, q: int) -> int:
-    """A = sum_k N_k q**k s**(m-k) over nums = N_1..N_m, by A = A*s + N_k*q**k."""
+def _weight(nums: tuple, den: int, s: int, q: int) -> tuple:
+    """(D*s**m - A, D*s**m) for nums = N_1..N_m: W_m(p/q), with s and A of refinement_factor."""
     acc, q_k = 0, 1
     for n_k in nums:
         q_k *= q
         acc = acc * s + n_k * q_k
-    return acc
+    whole = den * s ** len(nums)
+    return whole - acc, whole
 
 
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
@@ -187,26 +187,23 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
     """(lhs, rhs) of carleman_demo for the entries divided by `scale`.
 
     nums = N_1..N_m and den = D are the table's integers, c_k = N_k/D.  At
-    x = n the weight is (whole - A)/whole with s = n + 1, whole = D*s**m
-    and A = _horner(nums, s, 1): the exact branch of refinement_factor at
-    q = 1.  int / int rounds correctly, as float(Fraction) does, so each
-    weight equals refinement_factor(n, m, table).float_value exactly.
+    x = n the weight is part/whole for (part, whole) = _weight(nums, den,
+    n + 1, 1), the integers refinement_factor reduces to its Fraction.
+    int / int rounds correctly, as float(Fraction) does, so each weight
+    equals refinement_factor(n, m, table).float_value exactly.
 
     Both sums add left to right: sum() compensates from Python 3.12 on.
     """
-    m = len(nums)
     log_scale = math.log(scale)
     lhs = 0.0
     weighted = 0.0
     log_sum = 0.0
     zero_seen = False
     for n, a in enumerate(values, start=1):
-        s = n + 1
-        whole = den * s**m
-        acc = _horner(nums, s, 1)
-        if not 0 < acc < whole:
-            raise ValueError(f"exact weight {Rational(whole - acc, whole)} outside (0, 1)")
-        weighted += (whole - acc) / whole * (a / scale)
+        part, whole = _weight(nums, den, n + 1, 1)
+        if not 0 < part < whole:
+            raise ValueError(f"exact weight {Rational(part, whole)} outside (0, 1)")
+        weighted += part / whole * (a / scale)
         if a == 0.0:
             zero_seen = True
         if not zero_seen:
@@ -218,31 +215,45 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
 def load_sequence_csv(path) -> list[float]:
     """Read a demo sequence: one nonnegative decimal per line, no header.
 
-    Blank lines are skipped.  Extra columns, unparsable numbers, negative
-    or non-finite entries, and files with no data at all are rejected
-    with the offending line number in the message.
+    The file is UTF-8, after an optional byte-order mark.  Blank lines are
+    skipped.  Bytes that are not UTF-8, extra columns, unparsable numbers,
+    negative or non-finite entries, and files with no data at all are
+    rejected with the offending physical line number in the message; LF,
+    CRLF and CR each end a line, as for the csv module.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        content = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark, which holds no line end
+        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = before.count(b"\n") + 1
+        raise ValueError(
+            f"line {lineno}: {exc.encoding!r} codec can't decode "
+            f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        ) from None
     values = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                if len(row) != 1:
-                    raise ValueError(f"line {lineno}: expected a single column, got {len(row)}")
-                text = row[0].strip()
-                if not text:
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: not a number: {_quoted(text)}") from None
-                if not math.isfinite(value) or value < 0:
-                    raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
-                values.append(value)
-        except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(content, newline=""))
+    try:
+        for row in reader:
+            lineno = reader.line_num
+            if not row:
+                continue
+            if len(row) != 1:
+                raise ValueError(f"line {lineno}: expected a single column, got {len(row)}")
+            text = row[0].strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"line {lineno}: not a number: {_quoted(text)}") from None
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
+            values.append(value)
+    except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not values:
         raise ValueError(f"no data in {_quoted(str(path))}")
     return values

@@ -33,6 +33,7 @@ from .moments import (
     density_identity_checks,
     scaled_derivative_moment,
 )
+from .rational import Rational
 from .report import Check, FAIL, PASS, REPORTED, VerificationReport
 
 #: Sample points for the closed-form vs. integral-form defect comparison.
@@ -44,8 +45,9 @@ PARTIAL_SUM_NS = (10, 50, 200)
 #: Orders at which the endpoint-moment limit diagnostic is evaluated.
 LIMIT_NS = (10, 50, 200)
 
-#: Floor below which strict float inequalities are not trusted.
-FLOAT_GUARD = 1e-12
+#: Exact bracket E_LO < e < E_HI: the series of e to k = 40, and its tail bound 1/(40! 40).
+E_LO = sum(Rational(1, math.factorial(k)) for k in range(41))
+E_HI = E_LO + Rational(1, math.factorial(40) * 40)
 
 
 def engine_config(tol: float) -> float:
@@ -110,13 +112,15 @@ def partial_sum_check(table: CoefficientTable) -> Check:
     """Sandwich 0 < (1 - 1/e) - sum_{n<=N} c_n < 1/(N+1) at each N.
 
     N runs over the PARTIAL_SUM_NS within the table (max_n if none is).
-    Partial sums are exact integer sums over D, rounded once to float; the
-    comparison is float with a 1e-12 guard on the lower side.
+    Both sides are decided exactly on S = sum(N_1..N_N)/D: 1 - 1/e rises
+    with e, so 1 - 1/E_HI - 1/(N+1) < S < 1 - 1/E_LO proves them for every
+    e in the bracket.  The reported gaps round S once to float.
     """
     target = 1.0 - 1.0 / math.e
     usable = [n for n in PARTIAL_SUM_NS if n <= table.max_n] or [table.max_n]
-    gaps = [target - sum(table.numerators[:n]) / table.denominator for n in usable]
-    ok = all(FLOAT_GUARD < gap < 1.0 / (n + 1) for n, gap in zip(usable, gaps))
+    sums = [Rational(sum(table.numerators[:n]), table.denominator) for n in usable]
+    gaps = [target - float(s) for s in sums]
+    ok = all(1 - 1 / E_HI - Rational(1, n + 1) < s < 1 - 1 / E_LO for n, s in zip(usable, sums))
     return Check(
         name="partial-sum-sandwich",
         claim_ref="Remark",

@@ -380,18 +380,22 @@ def test_demo_reads_utf8_byte_order_mark(tmp_path, capsys, fmt):
 
 @pytest.mark.parametrize("name, content, prefix", [
     ("a" * 5000 + "/seq.csv", None, "error: [Errno"),
-    ("/".join(["d" * 240] * 15) + "/empty.csv", "", "error: no data in"),
-    ("long-line.csv", "1" * 200_000 + "\n", "error: line"),
-    ("long-non-number.csv", "x" * 100_000 + "\n", "error: line"),
-    ("nul.csv", "1\n2\x003\n", "error: line"),
-], ids=["long-path", "long-path-empty", "long-line", "long-non-number", "nul"])
+    ("/".join(["d" * 240] * 15) + "/empty.csv", b"", "error: no data in"),
+    ("long-line.csv", b"1" * 200_000 + b"\n", "error: line"),
+    ("long-non-number.csv", b"x" * 100_000 + b"\n", "error: line"),
+    ("nul.csv", b"1\n2\x003\n", "error: line"),
+    ("latin-1.csv", b"1\n\xe92\n", "error: line 2: 'utf-8' codec can't decode byte 0xe9"),
+    ("latin-1-deep.csv", b"1\n" * 5000 + b"\xe9\n", "error: line 5001: "),
+], ids=["long-path", "long-path-empty", "long-line", "long-non-number", "nul",
+        "bad-byte-line-2", "bad-byte-line-5001"])
 def test_demo_error_line_is_short(tmp_path, capsys, name, content, prefix):
     """An unreadable file, an empty file 3.6 kB deep in directories, a field
-    past the csv limit, a long non-number and a NUL byte."""
+    past the csv limit, a long non-number, a NUL byte, and a byte that is not
+    UTF-8, named by its line rather than by an offset in the decoder's buffer."""
     path = tmp_path / name
     if content is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content)
+        path.write_bytes(content)
     code = main(["demo", "--seq", str(path)])
     captured = capsys.readouterr()
     assert code == 1

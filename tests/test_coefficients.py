@@ -18,6 +18,7 @@ from carleman import (
     oracle_equivalence_check,
     ratio_trend_check,
 )
+from carleman.verify import E_HI
 
 # First twelve values, frozen.  The two independent exact constructions
 # agree on them bit for bit, and the quadrature recovery from the
@@ -117,15 +118,13 @@ def test_bound_check_equality_only_at_one(table200):
 def test_sharp_constant_to_1001(table1001):
     """b_n < 1/(e n(n+1)) for 2 <= n <= 1001, e times sharper than Eq. (3.2).
 
-    e_hi = sum_{k<=60} 1/k! + 1/(60! 60) lies above e, so n(n+1) N_n e_hi < D
-    proves the bound on the table's integers.  n(n+1) b_n rises from n = 3 on,
-    that is N_n n < N_{n+1} (n+2), and falls from n = 2 to 3.
+    E_HI lies above e, so n(n+1) N_n E_HI < D proves the bound on the table's
+    integers.  n(n+1) b_n rises from n = 3 on, that is N_n n < N_{n+1} (n+2),
+    and falls from n = 2 to 3.
     """
-    e_hi = (sum(Fraction(1, math.factorial(k)) for k in range(61))
-            + Fraction(1, math.factorial(60) * 60))
     nums, den = table1001.numerators, table1001.denominator
     for n in range(2, 1002):
-        assert n * (n + 1) * nums[n - 1] * e_hi.numerator < den * e_hi.denominator, n
+        assert n * (n + 1) * nums[n - 1] * E_HI.numerator < den * E_HI.denominator, n
     rises = [nums[n - 1] * n < nums[n] * (n + 2) for n in range(2, 1001)]
     assert rises == [False] + [True] * 998
 

@@ -16,7 +16,7 @@ from carleman import (
 )
 from carleman.moments import DENSITY_IDENTITIES
 from carleman.quadrature import integrate
-from carleman.verify import GAP_SAMPLE_XS
+from carleman.verify import E_HI, E_LO, GAP_SAMPLE_XS
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -82,3 +82,11 @@ def test_scaled_defect_two_faces(x):
     assert close(mp.e / 2 + quad(lambda s: density(s) / (x_mp + s)), closed)
     assert abs(scaled_defect(x) - closed) <= 1e-11 * closed
     assert abs(scaled_defect_by_quadrature(x).value - closed) <= 1e-12
+
+
+def test_e_bracket_holds_e():
+    """The exact bracket of the partial-sum sandwich, against e at 60 digits."""
+    with mpmath.workdps(60):
+        e = +mp.e
+        assert mpmath.mpf(E_LO.numerator) / E_LO.denominator < e
+        assert e < mpmath.mpf(E_HI.numerator) / E_HI.denominator

@@ -18,12 +18,10 @@ from carleman import (
     tail_bound,
     truncation_gap,
 )
+from carleman.verify import E_LO
 
 # nothing here needs deep indices; 60 terms cover every m used below
 TABLE = CoefficientTable.from_recurrence(60)
-
-# e exceeds this partial sum of its series by less than 1e-49
-E_BELOW = sum(Fraction(1, math.factorial(k)) for k in range(41))
 
 
 def fraction_horner(x, terms):
@@ -131,11 +129,11 @@ def test_overshoot_below_double_resolution():
 def test_overshoot_sign_at_double_floor_exactly(x):
     """e * W_6(x) > (1 + 1/x)**x where the float overshoot reads 0.0 or -4.4e-16.
 
-    With e above E_BELOW it is enough that E_BELOW * W_6(x) * x**x > (x + 1)**x,
+    With e above E_LO it is enough that E_LO * W_6(x) * x**x > (x + 1)**x,
     a comparison of exact rationals.
     """
     weight = refinement_factor(x, 6, TABLE).exact_value
-    assert E_BELOW * weight * x**x > (x + 1) ** x
+    assert E_LO * weight * x**x > (x + 1) ** x
 
 
 def test_tail_bound_closed_form_at_x_one():
@@ -243,15 +241,21 @@ def test_load_sequence_csv(tmp_path):
 
 
 def test_load_sequence_csv_rejects_garbage(tmp_path):
+    # lines are physical, as the csv module counts them: LF, CRLF and CR each
+    # end one, and a quoted field may span several
     for content, fragment in (
-        ("1,2\n", "single column"),
-        ("abc\n", "not a number"),
-        ("-1\n", "nonnegative"),
-        ("inf\n", "finite"),
-        ("", "no data"),
+        (b"1,2\n", "single column"),
+        (b"abc\n", "not a number"),
+        (b"-1\n", "nonnegative"),
+        (b"inf\n", "finite"),
+        (b"", "no data"),
+        (b'1\n"2\n"\nabc\n', "^line 4: not a number"),
+        (b"1\r\xe9\n", "^line 2: 'utf-8' codec can't decode byte 0xe9"),
+        (b"\xef\xbb\xbf" + b"1\r\n" * 2000 + b"1\r" * 1000 + b"1\n" * 2000 + b"\xe9\n",
+         "^line 5001: "),
     ):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        path.write_bytes(content)
         with pytest.raises(ValueError, match=fragment):
             load_sequence_csv(path)
 

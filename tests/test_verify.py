@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from carleman import (
     engine_config,
     run_verification,
 )
-from carleman.verify import partial_sum_check
+from carleman.verify import E_HI, E_LO, partial_sum_check
 
 # wire format: these names and their order are frozen
 EXPECTED_CHECK_NAMES = [
@@ -134,6 +135,25 @@ def test_partial_sum_gaps_match_fraction_sums(max_n, ns):
     assert check.values["gaps"] == [
         (1 - 1 / math.e) - float(table.partial_sum(n)) for n in ns
     ]
+
+
+def test_e_bracket():
+    """E_LO is the series of e to k = 40; E_HI adds the bound 1/(40! 40) of its tail."""
+    assert E_HI - E_LO == Fraction(1, math.factorial(40) * 40)
+    assert float(E_LO) == float(E_HI) == math.e
+
+
+@pytest.mark.parametrize("partial_sum, status", [
+    (1 - 1 / E_LO - Fraction(1, 10**13), PASS),
+    (1 - 1 / E_LO, FAIL),
+    (1 - 1 / E_HI, FAIL),
+], ids=["gap-1e-13", "gap-unproved", "gap-negative"])
+def test_partial_sum_sandwich_is_exact(partial_sum, status):
+    """One-entry tables: a true gap of 1e-13 is proved, though a float guard
+    of 1e-12 would refuse it; at 1 - 1/E_LO the true gap is positive but
+    below what the bracket can prove, and at 1 - 1/E_HI it is negative."""
+    table = CoefficientTable((partial_sum.numerator,), partial_sum.denominator)
+    assert partial_sum_check(table).status == status
 
 
 def test_fault_injection_fails_decrease_check():
