@@ -27,7 +27,7 @@ from .coefficients import CoefficientTable, bound_at
 from .integrands import E, compound_power
 from .moments import density_identity_checks, scaled_derivative_moment
 from .rational import (
-    EXACT_FORM, MAX_QUOTED, _quoted, as_rational, is_exact, rational_str, to_decimal_str,
+    EXACT_FORM, _quoted, as_rational, is_exact, rational_str, to_decimal_str,
 )
 from .refinement import carleman_demo, load_sequence_csv, refinement_factor, tail_bound
 from .report import VerificationReport
@@ -92,6 +92,8 @@ def _positive_float(text: str) -> float:
             f"invalid _positive_float value: {_quoted(text)}") from None
     if not value > 0 or not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be a positive finite number")
+    if value > sys.float_info.max / 10:  # some checks compare at 10 * tol
+        raise argparse.ArgumentTypeError("outside the floating-point range")
     return value
 
 
@@ -188,8 +190,8 @@ def _cmd_coeffs(args) -> int:
             indent=2,
         ))
     else:
+        rows.insert(0, ("n", "value", "bound"))
         width = max(len(v) for _, v, _ in rows)
-        print(f"{'n':>6}  {'value':<{width}}  bound")
         for n, value, cap in rows:
             print(f"{n:>6}  {value:<{width}}  {cap}")
     return 0
@@ -247,13 +249,12 @@ def _cmd_factor(args, parser) -> int:
 def _cmd_demo(args) -> int:
     try:
         values = load_sequence_csv(args.seq)
+        report = carleman_demo(values, args.terms, CoefficientTable.from_recurrence(args.terms))
     except (OSError, ValueError) as exc:
         if getattr(exc, "filename", None) is not None:  # str(exc) would echo all of it
             exc = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    table = CoefficientTable.from_recurrence(args.terms)
-    report = carleman_demo(values, args.terms, table)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -46,9 +46,7 @@ class EndpointSafeFunction:
 
 def entropy_weight(s: float) -> float:
     """s**s * (1-s)**(1-s) with the limits at 0 and 1 equal to 1."""
-    if s < 1e-300:
-        return 1.0
-    if s > 1.0 - 1e-16:
+    if s <= 0.0 or s >= 1.0:
         return 1.0
     return math.exp(s * math.log(s) + (1.0 - s) * math.log1p(-s))
 

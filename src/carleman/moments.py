@@ -72,9 +72,11 @@ DENSITY_IDENTITIES = (
     ("density-first-moment", "int density * s", E / 48.0,
      lambda s: moment_density(s) * s, False),
     ("density-over-s", "int density / s", E / 2.0 - 1.0,
-     EndpointSafeFunction(lambda s: moment_density(s) / s, at_zero=1.0, at_one=0.0), True),
+     EndpointSafeFunction(lambda s: moment_density.interior(s) / s, at_zero=1.0, at_one=0.0),
+     True),
     ("density-over-1-minus-s", "int density / (1-s)", E / 2.0 - 1.0,
-     EndpointSafeFunction(lambda s: moment_density(s) / (1.0 - s), at_zero=0.0, at_one=1.0),
+     EndpointSafeFunction(lambda s: moment_density.interior(s) / (1.0 - s),
+                          at_zero=0.0, at_one=1.0),
      True),
 )
 

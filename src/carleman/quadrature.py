@@ -15,9 +15,9 @@ the package integrates over.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 _PI_HALF = math.pi / 2.0
@@ -31,7 +31,7 @@ _MIN_LEVELS = 3
 _MAX_LEVELS = 10
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
@@ -40,20 +40,17 @@ class QuadratureResult:
 
     def scaled(self, factor: float, offset: float = 0.0) -> "QuadratureResult":
         """Result of the affine transform factor*value + offset."""
-        return QuadratureResult(
-            value=factor * self.value + offset,
-            error_estimate=abs(factor) * self.error_estimate,
-            levels_used=self.levels_used,
-            converged=self.converged,
-        )
+        return dataclasses.replace(self, value=factor * self.value + offset,
+                                   error_estimate=abs(factor) * self.error_estimate)
 
 
 @functools.cache
 def _level_nodes(level: int) -> tuple:
-    """(s_hi, s_lo, weight, is_center) for the nodes new at `level`.
+    """(s_hi, s_lo, weight) for the node pairs new at `level`.
 
     Level 0 holds every abscissa of the unit-step grid, level L >= 1 only
-    the odd multiples of 2**-L.  Each level is built once per process.
+    the odd multiples of 2**-L; the centre t = 0 is the pair (1/2, 1/2) at
+    half weight, the same double sum.  Each level is built once per process.
     """
     h = 1.0 / (1 << level)
     ks = range(0, 10**6) if level == 0 else range(1, 10**6, 2)
@@ -65,17 +62,14 @@ def _level_nodes(level: int) -> tuple:
         if weight < _WEIGHT_FLOOR:
             break
         u = math.tanh(_PI_HALF * math.sinh(t))
-        nodes.append((0.5 * (1.0 + u), 0.5 * (1.0 - u), weight, k == 0))
+        nodes.append((0.5 * (1.0 + u), 0.5 * (1.0 - u), weight / 2.0 if k == 0 else weight))
     return tuple(nodes)
 
 
 def _level_sum(func: Callable[[float], float], level: int) -> float:
     total = 0.0
-    for s_hi, s_lo, weight, is_center in _level_nodes(level):
-        if is_center:
-            fs = func(s_hi)
-        else:
-            fs = func(s_hi) + func(s_lo)
+    for s_hi, s_lo, weight in _level_nodes(level):
+        fs = func(s_hi) + func(s_lo)
         if not math.isfinite(fs):
             raise ValueError(f"integrand not finite near s={s_hi!r}/{s_lo!r}")
         total += weight * fs

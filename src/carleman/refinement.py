@@ -112,9 +112,9 @@ def tail_bound(x, terms: int) -> float:
     """Upper bound e * sum_{k>m} 1/(k(k+1)(x+1)**k) on the overshoot.
 
     Summed directly (the ratio 1/(x+1) is below 1); the loop stops once
-    the analytic remainder u**k/k is negligible, or after 100000 terms,
-    and that remainder is folded in on either exit, so the returned value
-    never undershoots the true sum.
+    the analytic remainder u**k/k is below 1e-18 of the sum or below
+    1e-300, or after 100000 terms, and that remainder is folded in on
+    every exit, so the returned value never undershoots the true sum.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")

@@ -118,7 +118,7 @@ def partial_sum_check(table: CoefficientTable) -> Check:
     """
     target = 1.0 - 1.0 / math.e
     usable = [n for n in PARTIAL_SUM_NS if n <= table.max_n] or [table.max_n]
-    sums = [Rational(sum(table.numerators[:n]), table.denominator) for n in usable]
+    sums = [table.partial_sum(n) for n in usable]
     gaps = [target - float(s) for s in sums]
     ok = all(1 - 1 / E_HI - Rational(1, n + 1) < s < 1 - 1 / E_LO for n, s in zip(usable, sums))
     return Check(

@@ -11,7 +11,8 @@ import pytest
 
 from carleman import CoefficientTable, as_rational, refinement_factor, report_from_json
 from carleman import cli
-from carleman.cli import MAX_DIGITS, MAX_QUOTED, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
+from carleman.cli import MAX_DIGITS, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
+from carleman.rational import MAX_QUOTED
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +59,18 @@ def test_coeffs_table_format(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["n", "value", "bound"]
     assert lines[1].split() == ["1", "1/2", "1/2"]
+
+
+def test_coeffs_table_aligns_values_shorter_than_the_header(capsys):
+    """The header is one more row of the table, so `value` widens its column."""
+    code, out, _ = run_cli(capsys, "coeffs", "--max-n", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "     n  value  bound",
+        "     1  1/2    1/2",
+        "     2  1/24   1/6",
+        "     3  1/48   1/12",
+    ]
 
 
 def test_coeffs_rejects_zero(capsys):
@@ -290,6 +303,44 @@ def test_tolerance_option_reaches_the_checks(capsys):
     assert limits["density-over-s"] == pytest.approx(1e-7)
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["integrals"], ["limit", "--n", "1"]],
+                         ids=["verify", "integrals", "limit"])
+def test_tolerance_past_a_tenth_of_float_max_is_refused(capsys, argv):
+    """Checks compare at 10 * tol, which must stay finite: JSON has no Infinity."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e308"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"carleman {argv[0]}: error: argument --tol: outside the floating-point range"
+
+
+TOL_TOP = repr(sys.float_info.max / 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "20", "--tol", TOL_TOP],
+    ["verify", "--max-n", "20", "--tol", TOL_TOP, "--inject-fault", "3"],
+    ["verify", "--max-n", "20", "--tol", "5e-324"],
+    ["integrals", "--tol", TOL_TOP],
+    ["integrals", "--tol", "5e-324"],
+    ["limit", "--n", "1" + "0" * 308, "--format", "json"],
+    ["limit", "--n", "1", "--tol", TOL_TOP, "--format", "json"],
+    ["factor", "--x", "1.7e308", "--format", "json"],
+    ["factor", "--x", "5e-324", "--terms", "200", "--format", "json"],
+    ["coeffs", "--max-n", "3", "--mode", "decimal", "--digits", "1", "--format", "json"],
+], ids=["verify-top", "verify-top-fault", "verify-subnormal", "integrals-top",
+        "integrals-subnormal", "limit-n-top", "limit-tol-top", "factor-top", "factor-subnormal",
+        "coeffs-one-digit"])
+def test_json_at_the_edges_of_the_domain_is_strict_json(capsys, argv):
+    """RFC 8259 has no Infinity or NaN, so strict parsers refuse them."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    json.loads(out, parse_constant=refuse)
+
+
 def test_table_length_ceiling(capsys):
     for argv in (["coeffs", "--max-n"], ["verify", "--max-n"],
                  ["factor", "--x", "1", "--terms"]):
@@ -386,12 +437,14 @@ def test_demo_reads_utf8_byte_order_mark(tmp_path, capsys, fmt):
     ("nul.csv", b"1\n2\x003\n", "error: line"),
     ("latin-1.csv", b"1\n\xe92\n", "error: line 2: 'utf-8' codec can't decode byte 0xe9"),
     ("latin-1-deep.csv", b"1\n" * 5000 + b"\xe9\n", "error: line 5001: "),
+    ("zeros.csv", b"0\n0\n", "error: sequence must not be all zero"),
 ], ids=["long-path", "long-path-empty", "long-line", "long-non-number", "nul",
-        "bad-byte-line-2", "bad-byte-line-5001"])
+        "bad-byte-line-2", "bad-byte-line-5001", "all-zero"])
 def test_demo_error_line_is_short(tmp_path, capsys, name, content, prefix):
     """An unreadable file, an empty file 3.6 kB deep in directories, a field
-    past the csv limit, a long non-number, a NUL byte, and a byte that is not
-    UTF-8, named by its line rather than by an offset in the decoder's buffer."""
+    past the csv limit, a long non-number, a NUL byte, a byte that is not
+    UTF-8, named by its line rather than by an offset in the decoder's buffer,
+    and a sequence of zeros only."""
     path = tmp_path / name
     if content is not None:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,5 @@
 """Coefficient recovery from the integral representations."""
 
-import math
-
 import pytest
 
 from carleman import (

@@ -103,7 +103,7 @@ def test_convergence_counts_two_small_differences_from_level_3(func, levels):
 def test_convergence_needs_the_two_small_differences_in_a_row():
     """A spike at the first new node of level 4 makes that level's difference
     1.5 tol, between small ones: the count starts over and ends at level 6."""
-    s4, _, w4, _ = _level_nodes(4)[0]
+    s4, _, w4 = _level_nodes(4)[0]
     delta = 1.5e-12 / (w4 / 16)
     result = integrate(lambda s: 1.0 + delta * (s == s4), 1e-12)
     assert result.converged and result.levels_used == 6
