@@ -19,9 +19,11 @@ strings, since JSON numbers cannot carry the latter.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from decimal import Decimal
 
 from .coefficients import CoefficientTable, bound_at
 from .integrands import E, compound_power
@@ -49,15 +51,11 @@ MAX_DIGITS = 10000
 #: on the host above, less than the 14-16 s of the table build itself.
 MAX_WEIGHT_BITS = 600_000
 
-def _positive_int(text: str, cap: float = math.inf, name: str = "_positive_int") -> int:
-    """Integer in 1..cap whose float view exists (`limit` scales by float(n)).
-
-    Text of another form is refused as `invalid <name> value: '<text>'`, the
-    line argparse prints for a type function called `name`.
-    """
+def _positive_int(text: str, cap: float = math.inf) -> int:
+    """Integer in 1..cap whose float view exists (`limit` scales by float(n))."""
     match = EXACT_FORM.fullmatch(text)
     if not match or match["q"]:
-        raise argparse.ArgumentTypeError(f"invalid {name} value: {_quoted(text)}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}")
     value = as_rational(text).numerator
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -66,12 +64,8 @@ def _positive_int(text: str, cap: float = math.inf, name: str = "_positive_int")
     return _within_float_range(value)
 
 
-def _table_size(text: str) -> int:
-    return _positive_int(text, MAX_TABLE_N, "_table_size")
-
-
-def _digit_count(text: str) -> int:
-    return _positive_int(text, MAX_DIGITS, "_digit_count")
+_table_size = functools.partial(_positive_int, cap=MAX_TABLE_N)
+_digit_count = functools.partial(_positive_int, cap=MAX_DIGITS)
 
 
 def _within_float_range(value):
@@ -84,12 +78,20 @@ def _within_float_range(value):
     raise argparse.ArgumentTypeError("outside the floating-point range")
 
 
+def _float(text: str) -> float:
+    """float(text), refusing a positive decimal that rounds to 0.0 as out of range."""
+    value = float(text)
+    # the sign is the mantissa's, which Decimal reads whatever the exponent
+    if value == 0.0 and Decimal(text.lower().partition("e")[0]) > 0:
+        raise argparse.ArgumentTypeError("outside the floating-point range")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
-        value = float(text)
+        value = _float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid _positive_float value: {_quoted(text)}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {_quoted(text)}") from None
     if not value > 0 or not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be a positive finite number")
     if value > sys.float_info.max / 10:  # some checks compare at 10 * tol
@@ -100,7 +102,7 @@ def _positive_float(text: str) -> float:
 def _point(text: str):
     """Evaluation point: 'p/q' or integer stays exact, decimals go float."""
     try:
-        value = as_rational(text) if EXACT_FORM.fullmatch(text) else float(text)
+        value = as_rational(text) if EXACT_FORM.fullmatch(text) else _float(text)
         if value != value:  # NaN
             raise ValueError
     except (ValueError, ZeroDivisionError):
@@ -256,7 +258,9 @@ def _cmd_demo(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        # a sum that overflowed is inf, which JSON (RFC 8259) cannot carry
+        payload = {k: None if v == math.inf else v for k, v in report.to_dict().items()}
+        print(json.dumps(payload, indent=2))
     else:
         _print_rows(("sequence length", report.length), ("terms", report.terms),
                     ("sum of geo means", report.lhs), ("weighted rhs", report.rhs),

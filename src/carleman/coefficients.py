@@ -96,6 +96,13 @@ class CoefficientTable:
         The E_j are kept as integers F_j over the least shared D (F_0 = D):
         with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D), added by
         _append_reduced.
+
+        This is not independent of from_recurrence: its step is the
+        recurrence's step with the 1/(n+1) term carried inside the sum as
+        F_0 = D, and both builders share _sum_over_2_up and _append_reduced.
+        oracle_equivalence_check therefore tests the two step formulas;
+        only the Fraction reference in tests/test_coefficients.py tests
+        the shared kernels.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")

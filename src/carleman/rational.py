@@ -1,8 +1,9 @@
 """Exact rational carrier and rendering helpers.
 
-All coefficient arithmetic runs on ``fractions.Fraction``, exported here
-as ``Rational``: arbitrary-precision rationals always kept in lowest
-terms with a positive denominator.
+Coefficient tables and refinement weights run on Python integers (see
+CoefficientTable); ``fractions.Fraction``, exported here as ``Rational``,
+is the view an exact value takes when it leaves the package: lowest
+terms, positive denominator.
 """
 
 from __future__ import annotations
@@ -56,12 +57,9 @@ def to_decimal_str(value, digits: int = 15) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    num, den = value.numerator, value.denominator
-    if num == 0:
-        return "0." + "0" * (digits - 1) if digits > 1 else "0"
     with localcontext() as ctx:
         ctx.prec = digits
-        d = Decimal(num) / Decimal(den)
+        d = Decimal(value.numerator) / Decimal(value.denominator)
         quantum = Decimal(1).scaleb(d.adjusted() - digits + 1)
         d = d.quantize(quantum)
     return format(d, "f")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -170,8 +171,8 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
     if not seq:
         raise ValueError("sequence is empty")
     values = [float(a) for a in seq]
-    if any(a < 0 for a in values):
-        raise ValueError("sequence entries must be nonnegative")
+    if not all(0.0 <= a < math.inf for a in values):
+        raise ValueError("sequence entries must be finite and nonnegative")
     if all(a == 0 for a in values):
         raise ValueError("sequence must not be all zero")
     nums = _leading_numerators(terms, table)
@@ -194,21 +195,19 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
 
     Both sums add left to right: sum() compensates from Python 3.12 on.
     """
-    log_scale = math.log(scale)
-    lhs = 0.0
     weighted = 0.0
-    log_sum = 0.0
-    zero_seen = False
     for n, a in enumerate(values, start=1):
         part, whole = _weight(nums, den, n + 1, 1)
         if not 0 < part < whole:
             raise ValueError(f"exact weight {Rational(part, whole)} outside (0, 1)")
         weighted += part / whole * (a / scale)
-        if a == 0.0:
-            zero_seen = True
-        if not zero_seen:
-            log_sum += math.log(a)
-            lhs += math.exp(log_sum / n - log_scale)
+    log_scale = math.log(scale)
+    lhs = 0.0
+    log_sum = 0.0
+    # every geometric mean from the first zero entry on is zero
+    for n, a in enumerate(itertools.takewhile(lambda a: a > 0.0, values), start=1):
+        log_sum += math.log(a)
+        lhs += math.exp(log_sum / n - log_scale)
     return lhs, E * weighted
 
 
@@ -226,9 +225,9 @@ def load_sequence_csv(path) -> list[float]:
     try:
         content = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.object is the input after any byte-order mark, which holds no line end
-        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = before.count(b"\n") + 1
+        # exc.object is the input after any byte-order mark; bytes.splitlines
+        # ends a line at LF, CRLF and CR only, and "." counts a last empty line
+        lineno = len((exc.object[: exc.start] + b".").splitlines())
         raise ValueError(
             f"line {lineno}: {exc.encoding!r} codec can't decode "
             f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"

@@ -77,6 +77,8 @@ def test_coeffs_rejects_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "--max-n", "0"])
     assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "carleman coeffs: error: argument --max-n: must be a positive integer"
 
 
 def test_verify_small_run_round_trips(capsys):
@@ -108,6 +110,10 @@ def test_verify_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "3", "--quad-max", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "carleman: error: --max-n must be at least 4"
 
 
 def test_factor_table_output(capsys):
@@ -190,6 +196,23 @@ def test_factor_rejects_nonpositive(capsys):
         assert error == f"carleman factor: error: argument --x: {message}"
 
 
+@pytest.mark.parametrize("argv, sign", [
+    (["factor", "--x"], "must be positive"),
+    (["verify", "--tol"], "must be a positive finite number"),
+    (["limit", "--n", "1", "--tol"], "must be a positive finite number"),
+    (["integrals", "--tol"], "must be a positive finite number"),
+], ids=["factor-x", "verify-tol", "limit-tol", "integrals-tol"])
+def test_a_positive_decimal_that_rounds_to_zero_is_out_of_range(capsys, argv, sign):
+    """1e-400 is positive but its float view is 0.0; -1e-400 is not positive."""
+    for text, message in [("1e-400", "outside the floating-point range"), ("-1e-400", sign),
+                          ("0." + "0" * 400 + "1", "outside the floating-point range")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-1] + [f"{argv[-1]}={text}"])  # argparse reads -1e-400 as an option
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"carleman {argv[0]}: error: argument {argv[-1]}: {message}"
+
+
 def test_factor_rejects_exact_x_above_float_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--x", "1" + "0" * 400])
@@ -235,18 +258,18 @@ def test_integer_options_past_int_digit_limit(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["coeffs", "--max-n"], "invalid _table_size value: "),
-    (["coeffs", "--digits"], "invalid _digit_count value: "),
-    (["verify", "--max-n"], "invalid _table_size value: "),
-    (["verify", "--quad-max"], "invalid _positive_int value: "),
-    (["verify", "--tol"], "invalid _positive_float value: "),
-    (["verify", "--inject-fault"], "invalid _positive_int value: "),
+    (["coeffs", "--max-n"], "not an integer: "),
+    (["coeffs", "--digits"], "not an integer: "),
+    (["verify", "--max-n"], "not an integer: "),
+    (["verify", "--quad-max"], "not an integer: "),
+    (["verify", "--tol"], "not a number: "),
+    (["verify", "--inject-fault"], "not an integer: "),
     (["factor", "--x"], "not a number: "),
-    (["factor", "--x", "1", "--terms"], "invalid _table_size value: "),
-    (["demo", "--seq", "seq.csv", "--terms"], "invalid _table_size value: "),
-    (["limit", "--n"], "invalid _positive_int value: "),
-    (["limit", "--tol"], "invalid _positive_float value: "),
-    (["integrals", "--tol"], "invalid _positive_float value: "),
+    (["factor", "--x", "1", "--terms"], "not an integer: "),
+    (["demo", "--seq", "seq.csv", "--terms"], "not an integer: "),
+    (["limit", "--n"], "not an integer: "),
+    (["limit", "--tol"], "not a number: "),
+    (["integrals", "--tol"], "not a number: "),
 ])
 def test_number_options_quote_a_long_non_number_by_its_ends(capsys, argv, message):
     """Up to MAX_QUOTED characters are quoted in full, a longer value by its ends and length."""
@@ -265,7 +288,7 @@ def test_integer_options_read_only_integers(capsys):
     for text in ("6/1", "1.5", "1e3"):
         with pytest.raises(SystemExit):
             main(["coeffs", "--max-n", text])
-        assert f"invalid _table_size value: '{text}'" in capsys.readouterr().err
+        assert f"not an integer: '{text}'" in capsys.readouterr().err
     assert build_parser().parse_args(["coeffs", "--max-n", " +1_0 "]).max_n == 10
 
 
@@ -328,14 +351,17 @@ TOL_TOP = repr(sys.float_info.max / 10)
     ["factor", "--x", "1.7e308", "--format", "json"],
     ["factor", "--x", "5e-324", "--terms", "200", "--format", "json"],
     ["coeffs", "--max-n", "3", "--mode", "decimal", "--digits", "1", "--format", "json"],
+    ["demo", "--seq", "big.csv", "--format", "json"],
 ], ids=["verify-top", "verify-top-fault", "verify-subnormal", "integrals-top",
         "integrals-subnormal", "limit-n-top", "limit-tol-top", "factor-top", "factor-subnormal",
-        "coeffs-one-digit"])
-def test_json_at_the_edges_of_the_domain_is_strict_json(capsys, argv):
+        "coeffs-one-digit", "demo-overflow"])
+def test_json_at_the_edges_of_the_domain_is_strict_json(capsys, tmp_path, monkeypatch, argv):
     """RFC 8259 has no Infinity or NaN, so strict parsers refuse them."""
     def refuse(constant):
         raise ValueError(f"not JSON: {constant}")
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("1e308\n1e308\n1e308\n")
     code, out, _ = run_cli(capsys, *argv)
     assert code in (0, 1)
     json.loads(out, parse_constant=refuse)
@@ -400,6 +426,10 @@ def test_demo_near_top_of_double_range(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["holds"] is True
     assert 0.0 < payload["ratio"] < 1.0
+    assert payload["lhs"] is None and payload["rhs"] is None  # overflowed sums
+    code, out, _ = run_cli(capsys, "demo", "--seq", str(path))
+    assert code == 0
+    assert "sum of geo means  = inf\nweighted rhs      = inf\n" in out
 
 
 def test_demo_missing_file(capsys):

@@ -105,6 +105,12 @@ def test_to_decimal_str_fixed_significant_digits():
     assert to_decimal_str(Rational(0), 4) == "0.000"
 
 
+def test_to_decimal_str_of_zero_keeps_every_digit():
+    assert to_decimal_str(Rational(0), 1) == "0"
+    for digits in range(2, 51):
+        assert to_decimal_str(0, digits) == "0." + "0" * (digits - 1)
+
+
 def test_to_decimal_str_half_even():
     # ties go to the even neighbor
     assert to_decimal_str(Rational(1, 8), 2) == "0.12"
@@ -116,7 +122,8 @@ def test_to_decimal_str_default_is_15_digits():
 
 
 def test_to_decimal_str_rejects_bad_digits():
-    with pytest.raises(ValueError):
+    # without the check, Decimal refuses a precision of 0 in words of its own
+    with pytest.raises(ValueError, match="digits must be >= 1"):
         to_decimal_str(Rational(1, 2), 0)
 
 

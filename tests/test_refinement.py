@@ -215,16 +215,28 @@ def test_demo_weights_are_refinement_factor_floats(terms):
 
 
 def test_demo_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         carleman_demo([], 6, TABLE)
     with pytest.raises(ValueError):
         carleman_demo([1.0, -2.0], 6, TABLE)
+    # past a zero no logarithm is taken, so only the entry check sees -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        carleman_demo([0.0, -1.0], 6, TABLE)
+    # c_1 = 5/2 makes W_1(1) = 1 - 5/4
+    with pytest.raises(ValueError, match=r"exact weight -1/4 outside \(0, 1\)"):
+        carleman_demo([1.0], 1, CoefficientTable(numerators=(5,), denominator=2))
     with pytest.raises(ValueError):
         carleman_demo([0.0, 0.0], 6, TABLE)
     with pytest.raises(ValueError, match="terms must be >= 1"):
         carleman_demo([1.0, 2.0], 0, TABLE)
     with pytest.raises(IndexError, match="exceeds table range"):
         carleman_demo([1.0, 2.0], TABLE.max_n + 1, TABLE)
+
+
+def test_demo_refuses_entries_that_are_not_finite():
+    for seq in ([math.nan, 1.0], [1.0, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="sequence entries must be finite and nonnegative"):
+            carleman_demo(seq, 6, TABLE)
 
 
 def test_demo_report_fields():

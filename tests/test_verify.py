@@ -174,7 +174,7 @@ def test_prebuilt_table_overrides_max_n(table200):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_n must be >= 4"):
         run_verification(max_n=3)
     with pytest.raises(ValueError):
         run_verification(max_n=10, quad_max=20)
