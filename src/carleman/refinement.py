@@ -14,8 +14,6 @@ bound, and runs the strengthened comparison on finite sequences.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import sys
@@ -214,45 +212,36 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
 def load_sequence_csv(path) -> list[float]:
     """Read a demo sequence: one nonnegative decimal per line, no header.
 
-    The file is UTF-8, after an optional byte-order mark.  Blank lines are
-    skipped.  Bytes that are not UTF-8, extra columns, unparsable numbers,
-    negative or non-finite entries, and files with no data at all are
-    rejected with the offending physical line number in the message; LF,
-    CRLF and CR each end a line, as for the csv module.
+    The file is UTF-8, after an optional byte-order mark; LF, CRLF and CR
+    each end a line.  Blank lines are skipped, and a line that is a single
+    double-quoted field is read without its quotes.  Bytes that are not
+    UTF-8, a comma, unparsable numbers, negative or non-finite entries, and
+    files with no data at all are rejected with the offending line number
+    in the message.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        content = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object is the input after any byte-order mark; bytes.splitlines
-        # ends a line at LF, CRLF and CR only, and "." counts a last empty line
-        lineno = len((exc.object[: exc.start] + b".").splitlines())
-        raise ValueError(
-            f"line {lineno}: {exc.encoding!r} codec can't decode "
-            f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-        ) from None
+        data = handle.read().removeprefix("\ufeff".encode())
     values = []
-    reader = csv.reader(io.StringIO(content, newline=""))
-    try:
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 1:
-                raise ValueError(f"line {lineno}: expected a single column, got {len(row)}")
-            text = row[0].strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"line {lineno}: not a number: {_quoted(text)}") from None
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
-            values.append(value)
-    except csv.Error as exc:  # an over-long field, or a NUL byte before Python 3.11
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    # a line keeps its ending, so a bad byte before it is not read as the end of the data
+    for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            text = line.decode().strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc.encoding!r} codec can't decode "
+                             f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}") from None
+        if text[:1] == text[-1:] == '"':
+            text = text[1:-1].strip()
+        if "," in text:
+            raise ValueError(f"line {lineno}: expected a single column, got {text.count(',') + 1}")
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a number: {_quoted(text)}") from None
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"line {lineno}: entries must be finite and nonnegative")
+        values.append(value)
     if not values:
         raise ValueError(f"no data in {_quoted(str(path))}")
     return values

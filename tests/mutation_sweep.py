@@ -1,0 +1,126 @@
+"""Mutation sweep: which `if` tests and statements of the package no test needs.
+
+    python tests/mutation_sweep.py
+
+The script copies the repository to a temporary directory and runs two
+sweeps over src/carleman/*.py (not __init__.py), one mutant at a time:
+
+- the test of each `if` statement replaced by False;
+- each statement in a function body, docstrings aside, replaced by pass.
+
+Each mutant gets one Tier-1 run (pytest -x, 120 s timeout).  Tests that
+already fail on the unmutated copy are deselected, so a mutant is killed
+when a test that passes without it fails.  Every survivor and every timeout
+is printed as `file:line source`, then the counts.  The runs never overlap;
+a full sweep takes the better part of an hour on a 2-vCPU x86-64 host.
+pytest does not collect this file.
+"""
+
+import ast
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120
+
+
+def if_tests(tree):
+    """The test expression of every `if` statement, with its replacement."""
+    return [(node.test, "False") for node in ast.walk(tree) if isinstance(node, ast.If)]
+
+
+def body_statements(tree):
+    """Every statement inside a function body but its docstring, with its replacement."""
+    inside, docstrings = set(), set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            inside.update(id(node) for node in ast.walk(func) if node is not func)
+            if ast.get_docstring(func) is not None:
+                docstrings.add(id(func.body[0]))
+    return [(node, "pass") for node in ast.walk(tree)
+            if isinstance(node, ast.stmt) and id(node) in inside - docstrings]
+
+
+def mutate(source: bytes, node, replacement: str) -> bytes:
+    """source with the text of node replaced; ast columns count UTF-8 bytes."""
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    begin = starts[node.lineno - 1] + node.col_offset
+    end = starts[node.end_lineno - 1] + node.end_col_offset
+    return source[:begin] + replacement.encode() + source[end:]
+
+
+def tier1(copy: Path, *options: str):
+    """Exit code of one Tier-1 run in copy, or None when it outlives TIMEOUT."""
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    # no bytecode: a mutant of the same size and second must not load a stale .pyc
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *options],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        return proc.wait(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return None
+
+
+def standing_failures(copy: Path) -> list:
+    """Node ids of the tests that fail on the unmutated copy."""
+    cache = copy / ".sweep_cache"
+    if tier1(copy, "-o", f"cache_dir={cache}") is None:
+        sys.exit("the unmutated suite outlives the timeout")
+    lastfailed = cache / "v" / "cache" / "lastfailed"
+    return sorted(json.loads(lastfailed.read_text())) if lastfailed.exists() else []
+
+
+def sweep(copy: Path, name: str, mutants, deselect: list) -> None:
+    """Run every mutant that mutants(tree) lists, print survivors, timeouts and counts."""
+    counts = {"killed": 0, "survived": 0, "timed out": 0}
+    for path in sorted((copy / "src" / "carleman").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_bytes()
+        lines = source.decode().splitlines()
+        tree = ast.parse(source)
+        try:
+            for node, replacement in sorted(mutants(tree), key=lambda mutant: mutant[0].lineno):
+                path.write_bytes(mutate(source, node, replacement))
+                code = tier1(copy, "-x", "-p", "no:cacheprovider", *deselect)
+                verdict = "killed" if code else "timed out" if code is None else "survived"
+                counts[verdict] += 1
+                if verdict != "killed":
+                    where = f"{path.relative_to(copy)}:{node.lineno}"
+                    print(f"{verdict}: {where} {lines[node.lineno - 1].strip()}", flush=True)
+        finally:
+            path.write_bytes(source)
+    print(f"{name}: {sum(counts.values())} mutants, "
+          + ", ".join(f"{n} {verdict}" for verdict, n in counts.items()), flush=True)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        failing = standing_failures(copy)
+        print("deselected, failing without a mutant:", *failing or ["none"], sep="\n  ")
+        deselect = [f"--deselect={node_id}" for node_id in failing]
+        if tier1(copy, "-x", "-p", "no:cacheprovider", *deselect) != 0:
+            sys.exit("the unmutated suite fails with its failing tests deselected")
+        sweep(copy, "if tests set to False", if_tests, deselect)
+        sweep(copy, "statements set to pass", body_statements, deselect)
+
+
+if __name__ == "__main__":
+    main()

@@ -270,7 +270,9 @@ def test_integer_options_past_int_digit_limit(capsys, argv, message):
     (["limit", "--n"], "not an integer: "),
     (["limit", "--tol"], "not a number: "),
     (["integrals", "--tol"], "not a number: "),
-])
+], ids=["coeffs-max-n", "coeffs-digits", "verify-max-n", "verify-quad-max", "verify-tol",
+        "verify-inject-fault", "factor-x", "factor-terms", "demo-terms", "limit-n", "limit-tol",
+        "integrals-tol"])
 def test_number_options_quote_a_long_non_number_by_its_ends(capsys, argv, message):
     """Up to MAX_QUOTED characters are quoted in full, a longer value by its ends and length."""
     prefix = f"carleman {argv[0]}: error: argument {argv[-1]}: {message}"
@@ -471,8 +473,8 @@ def test_demo_reads_utf8_byte_order_mark(tmp_path, capsys, fmt):
 ], ids=["long-path", "long-path-empty", "long-line", "long-non-number", "nul",
         "bad-byte-line-2", "bad-byte-line-5001", "all-zero"])
 def test_demo_error_line_is_short(tmp_path, capsys, name, content, prefix):
-    """An unreadable file, an empty file 3.6 kB deep in directories, a field
-    past the csv limit, a long non-number, a NUL byte, a byte that is not
+    """An unreadable file, an empty file 3.6 kB deep in directories, a
+    200 000-digit line, a long non-number, a NUL byte, a byte that is not
     UTF-8, named by its line rather than by an offset in the decoder's buffer,
     and a sequence of zeros only."""
     path = tmp_path / name

@@ -1,6 +1,7 @@
 """Rational carrier: normalization, rendering, parsing."""
 
 import math
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -84,6 +85,21 @@ def test_parse_errors():
     for text in ("abc", "0." + "1" * 5000):
         with pytest.raises(ValueError):
             as_rational(text)
+
+
+def test_parse_refuses_a_decimal_exponent_past_its_bound():
+    """Fraction() would build 10**(10**20) in full; the bound refuses it at once."""
+    assert as_rational("1e-400") == Fraction(1, 10**400)
+    assert as_rational("2.5e3") == 2500
+    assert as_rational(" 1E+100000 ") == 10**100_000
+    with pytest.raises(ValueError, match=r"^decimal exponent past 100000: '1e-100001'$"):
+        as_rational("1e-100001")
+    # a child process, so that a reader which never returns fails here rather than hangs
+    code = "from carleman import as_rational; as_rational('1e-99999999999999999999')"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1] == (
+        "ValueError: decimal exponent past 100000: '1e-99999999999999999999'")
 
 
 def test_parse_round_trip():

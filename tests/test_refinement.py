@@ -248,20 +248,20 @@ def test_demo_report_fields():
 
 def test_load_sequence_csv(tmp_path):
     path = tmp_path / "seq.csv"
-    path.write_text("1.5\n\n0\n  \n2e-3\n")
-    assert load_sequence_csv(path) == [1.5, 0.0, 2e-3]
+    # a line that is one double-quoted field is read without its quotes
+    path.write_text('1.5\n\n0\n  \n2e-3\n"1.5"\n""\n" 2 "\n"  "\n')
+    assert load_sequence_csv(path) == [1.5, 0.0, 2e-3, 1.5, 2.0]
 
 
 def test_load_sequence_csv_rejects_garbage(tmp_path):
-    # lines are physical, as the csv module counts them: LF, CRLF and CR each
-    # end one, and a quoted field may span several
+    # LF, CRLF and CR each end a line, and a quote does not carry a line on
     for content, fragment in (
         (b"1,2\n", "single column"),
         (b"abc\n", "not a number"),
         (b"-1\n", "nonnegative"),
         (b"inf\n", "finite"),
         (b"", "no data"),
-        (b'1\n"2\n"\nabc\n', "^line 4: not a number"),
+        (b'1\n"2\n"\nabc\n', "^line 2: not a number"),
         (b"1\r\xe9\n", "^line 2: 'utf-8' codec can't decode byte 0xe9"),
         (b"\xef\xbb\xbf" + b"1\r\n" * 2000 + b"1\r" * 1000 + b"1\n" * 2000 + b"\xe9\n",
          "^line 5001: "),
