@@ -1,8 +1,9 @@
-"""Time the refinement-weights layer at fixed sizes and record it in BENCH_11.json.
+"""Time the refinement-weights layer at fixed sizes and record it in BENCH_<number>.json.
 
-Run from the root of a checkout, against the package on PYTHONPATH:
+Run from the root of a checkout, against the package on PYTHONPATH, with the
+number of the change whose figures the file records:
 
-    PYTHONPATH=src python3 bench/weights_layer.py
+    PYTHONPATH=src python3 bench/weights_layer.py NUMBER
 
 It times carleman_demo at (terms, entries) = (1, 2 000), (6, 20 000) and
 (20, 20 000), and one exact and one float refinement_factor call at
@@ -10,15 +11,16 @@ terms = 20.  Every figure is the best of 5.  The coefficient table is built
 outside the timed region.
 
 To compare two commits in one sitting, run the script once per commit with
-PYTHONPATH pointing at that commit's src/ (a second checkout of the other
-commit, say).  Each run replaces the entry of its own commit, as
-`git describe --always --dirty` names it, and keeps the others.  Each demo
-entry also records its rhs in hex, so the file shows whether two commits
-computed the same weights bit for bit.
+the same number and PYTHONPATH pointing at that commit's src/ (a second
+checkout of the other commit, say).  Each run replaces the entry of its own
+commit, as `git describe --always --dirty` names it, and keeps the others.
+Each demo entry also records its rhs in hex, so the file shows whether two
+commits computed the same weights bit for bit.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -30,7 +32,7 @@ from pathlib import Path
 import carleman
 from carleman import CoefficientTable, Rational, carleman_demo, refinement_factor
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
+ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 DEMOS = ((1, 2_000), (6, 20_000), (20, 20_000))
 FACTOR_TERMS = 20
@@ -93,11 +95,14 @@ def measure() -> dict:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("number", type=int, help="the file written is BENCH_<number>.json")
+    out = ROOT / f"BENCH_{parser.parse_args().number}.json"
     run = measure()
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {
+    doc = json.loads(out.read_text()) if out.exists() else {
         "harness": "bench/weights_layer.py", "repeats": REPEATS, "runs": []}
     doc["runs"] = [r for r in doc["runs"] if r["commit"] != run["commit"]] + [run]
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(run, indent=2))
 
 

@@ -43,9 +43,11 @@ def is_exact(value) -> bool:
 def as_rational(value) -> Rational:
     """Coerce ints, Fractions, or 'p/q', integer and decimal strings to a Fraction.
 
-    A decimal whose exponent is past MAX_EXPONENT in size is refused with
-    ValueError rather than built.
+    A finite Decimal is read as its text.  A decimal whose exponent is past
+    MAX_EXPONENT in size is refused with ValueError rather than built.
     """
+    if isinstance(value, Decimal) and value.is_finite():
+        value = str(value)
     match = isinstance(value, str) and EXACT_FORM.fullmatch(value)
     if not match:
         exponent = isinstance(value, str) and EXPONENT.search(value)

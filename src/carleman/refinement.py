@@ -55,7 +55,7 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
 
     The exact pass runs on the table's integers: with x = p/q, s = p + q
     and c_k = N_k/D, the sum is A/(D*s**m) for A = sum_k N_k q**k s**(m-k),
-    built by _weight's Horner step A = A*s + N_k*q**k, so the only
+    built by _weight_sum's Horner step A = A*s + N_k*q**k, so the only
     rational is the result itself.
     """
     nums = _leading_numerators(terms, table)
@@ -64,7 +64,9 @@ def refinement_factor(x, terms: int, table: CoefficientTable) -> RefinementFacto
     den = table.denominator
     if is_exact(x):
         q = x.denominator
-        exact = Rational(*_weight(nums, den, x.numerator + q, q))
+        s = x.numerator + q
+        whole = den * s**terms
+        exact = Rational(whole - _weight_sum(nums, s, q), whole)
         return RefinementFactor(float_value=float(exact), exact_value=exact)
     u = 1.0 / (float(x) + 1.0)
     acc = 0.0
@@ -82,14 +84,34 @@ def _leading_numerators(terms: int, table: CoefficientTable) -> tuple:
     return table.numerators[:terms]
 
 
-def _weight(nums: tuple, den: int, s: int, q: int) -> tuple:
-    """(D*s**m - A, D*s**m) for nums = N_1..N_m: W_m(p/q), with s and A of refinement_factor."""
+def _weight_sum(nums: tuple, s: int, q: int) -> int:
+    """A for nums = N_1..N_m: W_m(p/q) = 1 - A/(D*s**m), with s and A of refinement_factor."""
     acc, q_k = 0, 1
     for n_k in nums:
         q_k *= q
         acc = acc * s + n_k * q_k
-    whole = den * s ** len(nums)
-    return whole - acc, whole
+    return acc
+
+
+def _continued(points: list):
+    """Endless iterator over the values after `points` of the polynomial through them.
+
+    points are the values at consecutive integers of a polynomial of
+    degree below len(points).  The last entry of each row of their
+    difference table is a backward difference at the last point: the
+    highest is constant, and each lower one steps by the one above it, so
+    each further value takes len(points) - 1 integer additions, made by
+    nested itertools.accumulate.
+    """
+    heads = []
+    for _ in range(len(points)):
+        heads.append(points[-1])
+        points = [b - a for a, b in zip(points, points[1:])]
+    values = itertools.repeat(heads.pop())
+    for head in reversed(heads):
+        values = itertools.accumulate(values, initial=head)
+        next(values)  # head belongs to the last point, not to the values after it
+    return values
 
 
 def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
@@ -158,7 +180,8 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
 
     Each weight W_m(n) is refinement_factor(n, terms, table).float_value,
     bit for bit, but is computed straight from the table's integers
-    without building a Fraction per entry (see _demo_sums).  terms is
+    without building a Fraction per entry, and past 2*terms entries
+    without a Horner pass per entry (see _demo_sums).  terms is
     checked once, with the ValueError or IndexError of refinement_factor.
 
     Both sides are homogeneous of degree 1 in the entries, so when a sum
@@ -186,16 +209,32 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
     """(lhs, rhs) of carleman_demo for the entries divided by `scale`.
 
     nums = N_1..N_m and den = D are the table's integers, c_k = N_k/D.  At
-    x = n the weight is part/whole for (part, whole) = _weight(nums, den,
-    n + 1, 1), the integers refinement_factor reduces to its Fraction.
-    int / int rounds correctly, as float(Fraction) does, so each weight
-    equals refinement_factor(n, m, table).float_value exactly.
+    x = n, with s = n + 1, the weight is part/whole for whole = D*s**m and
+    part = whole - A(s), A(s) = _weight_sum(nums, s, 1): the integers that
+    refinement_factor reduces to its Fraction.  int / int rounds
+    correctly, as float(Fraction) does, so each weight equals
+    refinement_factor(n, m, table).float_value exactly.
+
+    A(s) = sum_k N_k s**(m-k) is an integer polynomial of degree m - 1 in
+    s, so its m-th difference is zero (finite differences at equally
+    spaced points: Knuth, TAOCP vol. 2, 4.6.4).  A sequence of more than
+    2m entries takes A(2)..A(m+1) from _weight_sum and every later A(s)
+    from _continued, m - 1 exact integer additions instead of a Horner
+    pass.  The integers are the same, so every float is.  The difference
+    table costs about m/3 Horner passes and each continued value saves
+    about half a pass, so a shorter sequence runs a Horner pass per entry.
 
     Both sums add left to right: sum() compensates from Python 3.12 on.
     """
+    m = len(nums)
+    seeds = m if len(values) > 2 * m else len(values)
+    sums = [_weight_sum(nums, s, 1) for s in range(2, seeds + 2)]
+    if len(values) > seeds:
+        sums = itertools.chain(sums, _continued(sums))
     weighted = 0.0
-    for n, a in enumerate(values, start=1):
-        part, whole = _weight(nums, den, n + 1, 1)
+    for s, a_s, a in zip(itertools.count(2), sums, values):
+        whole = den * s**m
+        part = whole - a_s
         if not 0 < part < whole:
             raise ValueError(f"exact weight {Rational(part, whole)} outside (0, 1)")
         weighted += part / whole * (a / scale)

@@ -102,6 +102,23 @@ def test_parse_refuses_a_decimal_exponent_past_its_bound():
         "ValueError: decimal exponent past 100000: '1e-99999999999999999999'")
 
 
+def test_parse_bounds_the_exponent_of_a_decimal():
+    """A finite Decimal meets the bound of its text: Fraction(Decimal) builds 10**exponent too."""
+    assert as_rational(Decimal("1.5e-100000")) == Fraction(3, 2 * 10**100_000)
+    assert as_rational(Decimal("-2.5E3")) == -2500
+    for text, shown in (("1e-100001", "1E-100001"), ("1e+100001", r"1E\+100001")):
+        with pytest.raises(ValueError, match=rf"^decimal exponent past 100000: '{shown}'$"):
+            as_rational(Decimal(text))
+    with pytest.raises(OverflowError):
+        as_rational(Decimal("Infinity"))
+    code = ("from decimal import Decimal; from carleman import as_rational; "
+            "as_rational(Decimal('1e-999999999'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1] == (
+        "ValueError: decimal exponent past 100000: '1E-999999999'")
+
+
 def test_parse_round_trip():
     for text in ("1/2", "73/5760", "-11/1280", "5/1"):
         assert rational_str(as_rational(text)) == text

@@ -189,13 +189,16 @@ def test_demo_zero_propagation():
 @pytest.mark.parametrize("entry", [1e308, 5e-324])
 def test_demo_rescales_at_the_ends_of_the_double_range(entry):
     # both sums overflow at 1e308, and a subnormal entry carries few
-    # digits; homogeneity gives the ratio of the all-ones sequence
-    report = carleman_demo([entry] * 3, 6, TABLE)
-    assert report.holds
-    assert report.ratio == pytest.approx(carleman_demo([1.0] * 3, 6, TABLE).ratio, rel=1e-14)
+    # digits; homogeneity gives the ratio of the all-ones sequence.
+    # 5 entries at m = 2 take the weights past 2m from the difference table
+    for length, terms in ((3, 6), (5, 2)):
+        report = carleman_demo([entry] * length, terms, TABLE)
+        assert report.holds
+        ones = carleman_demo([1.0] * length, terms, TABLE)
+        assert report.ratio == pytest.approx(ones.ratio, rel=1e-14)
 
 
-@pytest.mark.parametrize("terms", [1, 6, 20])
+@pytest.mark.parametrize("terms", [1, 2, 6, 20])
 def test_demo_weights_are_refinement_factor_floats(terms):
     # the demo's integer weights must be refinement_factor's floats bit for
     # bit, summed in the same order: rhs is compared with ==, not approx.
@@ -204,14 +207,21 @@ def test_demo_weights_are_refinement_factor_floats(terms):
     for n in range(1, 301):
         alone = carleman_demo([0.0] * (n - 1) + [1.0], terms, TABLE)
         assert alone.rhs == E * refinement_factor(n, terms, TABLE).float_value, n
+    # past 2m entries every weight after the m-th comes from a difference
+    # table, so the sums are also taken at the lengths on both sides of that
+    lengths = {terms - 1, terms, terms + 1, 2 * terms, 2 * terms + 1, 5000} - {0}
+    if terms == 20:
+        lengths.add(20_000)
     rng = random.Random(20140)
-    seq = [(0.5 + rng.random()) / n for n in range(1, 5001)]
+    seq = [(0.5 + rng.random()) / n for n in range(1, max(lengths) + 1)]
     for i in (17, 1234, 4999):
         seq[i] = 0.0
-    weighted = 0.0
-    for n, a in enumerate(seq, start=1):
-        weighted += refinement_factor(n, terms, TABLE).float_value * a
-    assert carleman_demo(seq, terms, TABLE).rhs == E * weighted
+    weights = [refinement_factor(n, terms, TABLE).float_value for n in range(1, len(seq) + 1)]
+    for length in sorted(lengths):
+        weighted = 0.0
+        for w, a in zip(weights, seq[:length]):
+            weighted += w * a
+        assert carleman_demo(seq[:length], terms, TABLE).rhs == E * weighted, length
 
 
 def test_demo_validation():
@@ -225,6 +235,10 @@ def test_demo_validation():
     # c_1 = 5/2 makes W_1(1) = 1 - 5/4
     with pytest.raises(ValueError, match=r"exact weight -1/4 outside \(0, 1\)"):
         carleman_demo([1.0], 1, CoefficientTable(numerators=(5,), denominator=2))
+    # A(s) = 4 - s at m = 2: the weights 1/2 and 8/9 come from Horner
+    # passes, and W_2(3) = 16/16 from the difference table of 5 entries
+    with pytest.raises(ValueError, match=r"^exact weight 1 outside \(0, 1\)$"):
+        carleman_demo([1.0] * 5, 2, CoefficientTable(numerators=(-1, 4), denominator=1))
     with pytest.raises(ValueError):
         carleman_demo([0.0, 0.0], 6, TABLE)
     with pytest.raises(ValueError, match="terms must be >= 1"):
