@@ -17,6 +17,7 @@ implemented here in exact rational arithmetic and must agree bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .rational import Rational
@@ -71,16 +72,18 @@ class CoefficientTable:
     def from_recurrence(cls, max_n: int) -> "CoefficientTable":
         """Build c_1..c_max_n by the defining recurrence, exactly.
 
-        With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q = n!), step n
-        has c_n = X / (q*D) for the integers X = D*Q - (n+1)*A and
-        q = n*(n+1)*Q; _append_reduced adds it to the table.
+        With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q a product of
+        the lcms of _blocks, not n!), step n has c_n = X / (q*D) for the
+        integers X = D*Q - (n+1)*A and q = n*(n+1)*Q; _append_reduced adds
+        its reduced form to the table, which no choice of Q changes.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
+        blocks = _blocks(max_n + 1)
         nums, den = [1], 2
         for n in range(2, max_n + 1):
             # sum_{k=0}^{n-2} c_{n-k-1}/(k+2): N_{n-1}, N_{n-2}, ... over 2, 3, ...
-            a, q = _sum_over_2_up(nums)
+            a, q = _sum_over_2_up(nums, blocks)
             x = den * q - (n + 1) * a
             nums, den = _append_reduced(nums, den, x, q * n * (n + 1))
         return cls(numerators=tuple(nums), denominator=den)
@@ -99,17 +102,18 @@ class CoefficientTable:
 
         This is not independent of from_recurrence: its step is the
         recurrence's step with the 1/(n+1) term carried inside the sum as
-        F_0 = D, and both builders share _sum_over_2_up and _append_reduced.
-        oracle_equivalence_check therefore tests the two step formulas;
-        only the Fraction reference in tests/test_coefficients.py tests
-        the shared kernels.
+        F_0 = D, and both builders share _blocks, _sum_over_2_up and
+        _append_reduced.  oracle_equivalence_check therefore tests the two
+        step formulas; only the Fraction reference in
+        tests/test_coefficients.py tests the shared kernels.
         """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
+        blocks = _blocks(max_n + 1)
         exp_nums, den = [1], 1
         for n in range(1, max_n + 1):
             # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
-            a, q = _sum_over_2_up(exp_nums)
+            a, q = _sum_over_2_up(exp_nums, blocks)
             exp_nums, den = _append_reduced(exp_nums, den, -a, n * q)
         return cls(numerators=tuple(-f for f in exp_nums[1:]), denominator=den)
 
@@ -129,14 +133,42 @@ def _append_reduced(nums: list, den: int, x: int, q: int) -> tuple:
     return nums, den * m
 
 
-def _sum_over_2_up(terms: list) -> tuple:
-    """(A, Q) with A/Q = sum_i terms[-1-i]/(i+2) and Q = (len(terms)+1)!.
+def _blocks(top: int) -> list:
+    """The divisors 2..top cut into runs of consecutive k, in order.
 
-    Neighbours are merged pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a
-    big numerator mostly meets a small denominator and no gcd is taken;
-    this costs far less than bringing every term to lcm(2, 3, ...).
+    Each run is stored as (L, [L // k for k in run]) with L the lcm of the
+    run, and a run ends where taking the next k would bring L to 2**60, so
+    every L // k fits in two 30-bit digits of a CPython int.  The first run
+    is 2..42; near k = 250 a run holds about 8 divisors, near 2000 about 5.
     """
-    parts = [(t, k) for k, t in enumerate(reversed(terms), start=2)]
+    blocks, lcm, run = [], 1, []
+    for k in range(2, top + 1):
+        wider = math.lcm(lcm, k)
+        if wider >= 2**60:
+            blocks.append((lcm, [lcm // j for j in run]))
+            wider, run = k, []
+        lcm = wider
+        run.append(k)
+    blocks.append((lcm, [lcm // j for j in run]))
+    return blocks
+
+
+def _sum_over_2_up(terms: list, blocks: list) -> tuple:
+    """(A, Q) with A/Q = sum_i terms[-1-i]/(i+2), over _blocks(len(terms) + 1) or longer.
+
+    Each block's share of the reversed terms is one sum of big-by-small
+    products over its lcm L, run in C; Q is the product of the lcms of the
+    blocks that len(terms) reaches.  Those few block sums are merged
+    pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a big numerator mostly meets
+    a small denominator and no gcd is taken.
+    """
+    parts, rest, left = [], reversed(terms), len(terms)
+    for lcm, weights in blocks:
+        # weights first: map stops on it without taking a term from rest
+        parts.append((sum(map(operator.mul, weights, rest)), lcm))
+        left -= len(weights)
+        if left <= 0:
+            break
     while len(parts) > 1:
         merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(parts[::2], parts[1::2])]
         if len(parts) % 2:

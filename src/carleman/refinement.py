@@ -136,6 +136,10 @@ def tail_bound(x, terms: int) -> float:
     the analytic remainder u**k/k is below 1e-18 of the sum or below
     1e-300, or after 100000 terms, and that remainder is folded in on
     every exit, so the returned value never undershoots the true sum.
+    Where every term underflows, as at x = 1 with terms = 2000, the first
+    u**(m+1)/((m+1)(m+2)) is at most 2**-1075 up to one rounding, so the
+    tail is below 1.82 * 2**-1074 / (1 - u), and 3 * 2**-1074 / (1 - u)
+    is returned instead of 0.0.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -151,7 +155,7 @@ def tail_bound(x, terms: int) -> float:
         k += 1
         remainder = power / k
         if remainder <= 1e-18 * total or remainder < 1e-300 or k > terms + 100000:
-            return E * (total + remainder)
+            return E * (total + remainder) or 3 * math.ulp(0.0) / (1.0 - u)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from carleman import CoefficientTable, as_rational, refinement_factor, report_from_json
+from carleman import (
+    CoefficientTable, as_rational, refinement_factor, report_from_json, tail_bound,
+)
 from carleman import cli
 from carleman.cli import MAX_DIGITS, MAX_TABLE_N, MAX_WEIGHT_BITS, build_parser, main
 from carleman.rational import MAX_QUOTED
@@ -177,6 +179,20 @@ def test_factor_at_subnormal_x(capsys):
     payload = json.loads(out)
     assert payload["power"] == 1.0
     assert 0.0 < payload["gap"] < payload["tail_bound"]
+
+
+def test_factor_tail_bound_stays_positive_where_the_tail_underflows(capsys):
+    """Every term of the tail sum underflows here; the bound must not read 0.0.
+
+    factor --x 1 --terms 2000 and --x 1e3 --terms 1100 print these two
+    bounds, but build tables that take seconds; at x = 1e6 and terms = 60
+    every term underflows as well.
+    """
+    assert tail_bound(1, 2000) > 0.0
+    assert tail_bound(1e3, 1100) > 0.0
+    code, out, _ = run_cli(capsys, "factor", "--x", "1e6", "--terms", "60")
+    assert code == 0
+    assert float(re.search(r"^tail bound += (\S+)$", out, re.M).group(1)) > 0.0
 
 
 def test_factor_rejects_nonpositive(capsys):

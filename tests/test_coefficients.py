@@ -1,6 +1,8 @@
 """Exact coefficient tables: constructions, bounds, monotonicity, ratios."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from carleman import (
     oracle_equivalence_check,
     ratio_trend_check,
 )
+from carleman.coefficients import _blocks, _sum_over_2_up
 from carleman.verify import E_HI
 
 # First twelve values, frozen.  The two independent exact constructions
@@ -230,6 +233,36 @@ def test_constructions_match_fraction_reference_at_300():
     reference = reference_recurrence(300)
     assert_matches_reference(CoefficientTable.from_recurrence(300), reference)
     assert_matches_reference(CoefficientTable.from_series_oracle(300), reference)
+
+
+@pytest.mark.parametrize("top", [2, 3, 42, 43, 44, 250, 2001])
+def test_blocks_tile_the_divisors_in_order(top):
+    """Runs of 2..top with their lcm L below 2**60, each as long as that allows."""
+    divisors = range(2, top + 1)
+    start = 0
+    for lcm, weights in _blocks(top):
+        run = divisors[start:start + len(weights)]
+        assert run and lcm == math.lcm(*run) < 2**60
+        assert weights == [lcm // k for k in run]
+        start += len(run)
+        if start < len(divisors):
+            assert math.lcm(lcm, divisors[start]) >= 2**60
+    assert start == len(divisors)
+
+
+def test_sum_over_2_up_across_block_seams():
+    """The Fraction sum at every length around the first seams, over the lcms reached."""
+    blocks = _blocks(400)
+    seams = list(itertools.accumulate(len(weights) for _, weights in blocks))
+    assert seams[0] == 41  # the first block is 2..42
+    lengths = {1, 2, 43} | {seam + d for seam in seams[:12] for d in (-1, 0, 1)}
+    rng = random.Random(42)
+    for length in sorted(lengths):
+        terms = [rng.randrange(-(2**300), 2**300) for _ in range(length)]
+        a, q = _sum_over_2_up(terms, blocks)
+        assert Fraction(a, q) == sum(Fraction(t, i + 2) for i, t in enumerate(reversed(terms)))
+        reached = next(i for i, seam in enumerate(seams, start=1) if seam >= length)
+        assert q == math.prod(lcm for lcm, _ in blocks[:reached]), length
 
 
 @pytest.mark.parametrize("fault", [2, 3, 57, 199, 200])

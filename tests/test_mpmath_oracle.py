@@ -6,6 +6,8 @@ below anything a double can resolve, and the package's double-precision
 results to their own tolerances.
 """
 
+import math
+
 import pytest
 
 from carleman import (
@@ -13,6 +15,7 @@ from carleman import (
     coefficient_by_moment,
     scaled_defect,
     scaled_defect_by_quadrature,
+    tail_bound,
 )
 from carleman.moments import DENSITY_IDENTITIES
 from carleman.quadrature import integrate
@@ -90,3 +93,16 @@ def test_e_bracket_holds_e():
         e = +mp.e
         assert mpmath.mpf(E_LO.numerator) / E_LO.denominator < e
         assert e < mpmath.mpf(E_HI.numerator) / E_HI.denominator
+
+
+@pytest.mark.parametrize("m", [1, 6, 20, 2000])
+def test_tail_bound_where_every_term_underflows(m):
+    """Past the point where u**(m+1)/((m+1)(m+2)) rounds to 0.0, the bound is
+    3 * 2**-1074 / (1 - u), and it stays above the tail at 30 digits."""
+    for step in range(8):
+        x = 2.0 ** ((1075 + math.log2((m + 1) * (m + 2)) + step / 4) / (m + 1)) - 1.0
+        u = 1.0 / (x + 1.0)
+        assert tail_bound(x, m) == 3 * math.ulp(0.0) / (1.0 - u), x
+        u_mp = 1 / (mpmath.mpf(x) + 1)
+        tail = mp.e * mpmath.nsum(lambda k: u_mp**k / (k * (k + 1)), [m + 1, mpmath.inf])
+        assert tail < tail_bound(x, m), x
