@@ -12,14 +12,19 @@ the host between fast and slow states falls on both sides alike.  Every
 figure is the best of the repeats, and a child times each size below
 0.1 s TRIES times.  Each child also times a control, the same stdlib
 Fraction sum for every commit, so the file shows whether its sides ran at
-the same host speed.
+the same host speed.  Next to the best-of figures, each later commit gets
+first_over_this: per size, the first commit's time over its own within
+each repeat, with the median, least and greatest of those ratios, whose
+spread shows how far a ratio can be trusted on a host that changes speed.
 
 The sizes: both builders at N = 20, 200, 600, 1001 and 2000 (the small ones
 as the mean of several calls), carleman_demo at (terms, entries) =
-(1, 2 000), (6, 20 000) and (20, 20 000), and one exact and one float
-refinement_factor call at terms = 20.  Each table records a hash of its
-integers and each demo its rhs in hex, so the file shows whether the
-commits computed the same values bit for bit.
+(1, 2 000), (6, 20 000) and (20, 20 000), one exact and one float
+refinement_factor call at terms = 20, and tail_bound at (x, terms) =
+(0.001, 20), (2.5, 6) and (1e-6, 1).  Each table records a hash of its
+integers, each demo its rhs in hex and each tail bound its value in hex,
+so the file shows whether the commits computed the same values bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +49,7 @@ BUILDS = ((20, 100, TRIES), (200, 2, TRIES), (600, 1, 1), (1001, 1, 1), (2000, 1
 DEMOS = ((1, 2_000), (6, 20_000), (20, 20_000))
 FACTOR_TERMS = 20
 FACTOR_CALLS = 2_000
+TAILS = ((0.001, 20, 10), (2.5, 6, 2_000), (1e-6, 1, 3))  # (x, terms, calls)
 
 
 def timed(fn, calls: int = 1, tries: int = TRIES) -> tuple:
@@ -68,7 +75,7 @@ def demo_sequence(length: int) -> list[float]:
 def once() -> dict:
     """The timings and values of every size, by name, for the carleman on sys.path."""
     import carleman
-    from carleman import CoefficientTable, Rational, carleman_demo, refinement_factor
+    from carleman import CoefficientTable, Rational, carleman_demo, refinement_factor, tail_bound
 
     src = Path(carleman.__file__).resolve().parent
     times = {"control": timed(lambda: sum(Fraction(1, k) for k in range(1, 400)), 10)[0]}
@@ -89,6 +96,10 @@ def once() -> dict:
     for kind, x in (("exact", Rational(3, 2)), ("float", 2.5)):
         name = f"refinement_factor_{FACTOR_TERMS}_{kind}"
         times[name] = timed(lambda: refinement_factor(x, FACTOR_TERMS, table), FACTOR_CALLS)[0]
+    for x, terms, calls in TAILS:
+        name = f"tail_bound_{x}_{terms}"
+        times[name], bound = timed(lambda: tail_bound(x, terms), calls)
+        hashes[name] = bound.hex()
     return {
         "commit": subprocess.run(
             ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=7"],
@@ -106,6 +117,17 @@ def child(src: str) -> dict:
     out = subprocess.run([sys.executable, __file__, "--once"], env=env,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out)
+
+
+def paired(first: list, other: list) -> dict:
+    """Per size: the ratio first/other of the times within each repeat, with its spread."""
+    ratios = {}
+    for name in first[0]["times"]:
+        per_repeat = [a["times"][name] / b["times"][name] for a, b in zip(first, other)]
+        spread = (statistics.median(per_repeat), min(per_repeat), max(per_repeat))
+        ratios[name] = {key: float(f"{r:.4g}") for key, r in zip(("median", "min", "max"), spread)}
+        ratios[name]["per_repeat"] = [float(f"{r:.4g}") for r in per_repeat]
+    return ratios
 
 
 def main() -> None:
@@ -127,16 +149,20 @@ def main() -> None:
             runs[src].append(child(src))
     doc = {"harness": "bench/layers.py", "repeats": REPEATS, "tries": TRIES,
            "cpu_count": os.cpu_count(), "runs": []}
+    first_runs = runs[args.src[0]]
     for repeats in runs.values():
         first = repeats[0]
         if any(r["values"] != first["values"] for r in repeats):
             raise SystemExit(f"{first['commit']}: values differ between repeats")
         best = {name: min(r["times"][name] for r in repeats) for name in first["times"]}
-        doc["runs"].append({
+        run = {
             "commit": first["commit"], "python": first["python"], "carrier": first["carrier"],
             "best_s": {name: float(f"{t:.4g}") for name, t in best.items()},
             "values": first["values"],
-        })
+        }
+        if repeats is not first_runs:
+            run["first_over_this"] = paired(first_runs, repeats)
+        doc["runs"].append(run)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(out.read_text(), end="")

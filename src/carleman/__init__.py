@@ -1,9 +1,9 @@
 """Coefficients of the expansion (1+1/x)**x = e(1 - sum c_n/(x+1)**n).
 
-The package computes the sequence c_n three independent ways (exact
-recurrence, exact series exponential, numerical quadrature of integral
-representations), verifies its quantitative properties, and evaluates
-the inequality-refinement weights the sequence gives rise to.
+The package computes the sequence c_n three ways (exact recurrence and
+exact series exponential, which share _blocks, _sum_over_2_up and
+_append_reduced; numerical quadrature of integral representations),
+verifies its quantitative properties, and evaluates the weights it gives.
 """
 
 from types import ModuleType as _ModuleType

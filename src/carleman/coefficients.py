@@ -9,9 +9,9 @@ equivalently by the recurrence
     c_1 = 1/2,
     c_n = (1/n) * (1/(n+1) - sum_{k=0}^{n-2} c_{n-k-1} / (k+2)),
 
-and independently as the Taylor coefficients of 1 - exp(-sum_k t**k/(k(k+1)))
-(substitute t = 1/(x+1) and expand (1 - 1/t)*log(1-t)).  Both routes are
-implemented here in exact rational arithmetic and must agree bit for bit.
+and as the Taylor coefficients of 1 - exp(-sum_k t**k/(k(k+1)))
+(substitute t = 1/(x+1) and expand (1 - 1/t)*log(1-t)).  Both exact routes
+share _blocks, _sum_over_2_up and _append_reduced; they must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _sum_over_2_up(terms: list, blocks: list) -> tuple:
     products over its lcm L, run in C; Q is the product of the lcms of the
     blocks that len(terms) reaches.  Those few block sums are merged
     pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a big numerator mostly meets
-    a small denominator and no gcd is taken.
+    a small denominator and no gcd is taken, in ceil(log2) halving rounds.
     """
     parts, rest, left = [], reversed(terms), len(terms)
     for lcm, weights in blocks:
@@ -169,7 +169,7 @@ def _sum_over_2_up(terms: list, blocks: list) -> tuple:
         left -= len(weights)
         if left <= 0:
             break
-    while len(parts) > 1:
+    for _ in range((len(parts) - 1).bit_length()):
         merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(parts[::2], parts[1::2])]
         if len(parts) % 2:
             merged.append(parts[-1])

@@ -132,30 +132,29 @@ def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
 def tail_bound(x, terms: int) -> float:
     """Upper bound e * sum_{k>m} 1/(k(k+1)(x+1)**k) on the overshoot.
 
-    Summed directly (the ratio 1/(x+1) is below 1); the loop stops once
-    the analytic remainder u**k/k is below 1e-18 of the sum or below
-    1e-300, or after 100000 terms, and that remainder is folded in on
-    every exit, so the returned value never undershoots the true sum.
-    Where every term underflows, as at x = 1 with terms = 2000, the first
-    u**(m+1)/((m+1)(m+2)) is at most 2**-1075 up to one rounding, so the
-    tail is below 1.82 * 2**-1074 / (1 - u), and 3 * 2**-1074 / (1 - u)
-    is returned instead of 0.0.
+    Summed directly (the ratio u = 1/(x+1) is below 1) over the loop's
+    range of 100000 terms, or fewer once the analytic remainder
+    u**(k+1)/(k+1) after term k is below 1e-18 of the sum or below 1e-300.
+    That remainder is folded in on every exit, so the returned value never
+    undershoots the true sum.  Where every term underflows, as at x = 1
+    with terms = 2000, the first u**(m+1)/((m+1)(m+2)) is at most 2**-1075
+    up to one rounding, so the tail is below 1.82 * 2**-1074 / (1 - u),
+    and 3 * 2**-1074 / (1 - u) is returned instead of 0.0.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if not x > 0:
         raise ValueError("x must be positive")
     u = 1.0 / (float(x) + 1.0)
-    k = terms + 1
-    power = u**k
+    power = u ** (terms + 1)
     total = 0.0
-    while True:
+    for k in range(terms + 1, terms + 100_001):
         total += power / (k * (k + 1))
         power *= u
-        k += 1
-        remainder = power / k
-        if remainder <= 1e-18 * total or remainder < 1e-300 or k > terms + 100000:
-            return E * (total + remainder) or 3 * math.ulp(0.0) / (1.0 - u)
+        remainder = power / (k + 1)
+        if remainder <= 1e-18 * total or remainder < 1e-300:
+            break
+    return E * (total + remainder) or 3 * math.ulp(0.0) / (1.0 - u)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """One-shot verification sweep over all the quantitative claims.
 
 The sweep runs every check the package knows how to perform: exact table
-properties (two independent constructions agree; positivity and the
-1/(n(n+1)) cap; strict decrease; the climbing-ratio trend), quadrature
-recovery of the coefficients from their integral representations, the
-closed-form density integrals, agreement of the two faces of the scaled
-defect function, the partial-sum sandwich under 1 - 1/e, and the reported
-endpoint-moment limit.
+properties (the two constructions agree, though they share _blocks,
+_sum_over_2_up and _append_reduced; positivity and the 1/(n(n+1)) cap;
+strict decrease; the climbing-ratio trend), quadrature recovery of the
+coefficients from their integral representations, the closed-form density
+integrals, agreement of the two faces of the scaled defect function, the
+partial-sum sandwich under 1 - 1/e, and the reported endpoint-moment limit.
 
 Check names and the `claim_ref` anchor strings (e.g. "Eq. (3.2)") are
 frozen wire format; downstream consumers key on them.  The sweep never
@@ -169,8 +169,8 @@ def run_verification(
     """Run the whole sweep and assemble the report.
 
     A prebuilt (possibly deliberately corrupted) table may be passed in;
-    its length then overrides max_n.  The independent series-oracle table
-    is always built fresh.
+    its length then overrides max_n.  The series-oracle table (it shares
+    _blocks, _sum_over_2_up and _append_reduced) is always built fresh.
     """
     if table is not None:
         max_n = table.max_n

@@ -11,9 +11,13 @@ sweeps over src/carleman/*.py (not __init__.py), one mutant at a time:
 Each mutant gets one Tier-1 run (pytest -x, 120 s timeout).  Tests that
 already fail on the unmutated copy are deselected, so a mutant is killed
 when a test that passes without it fails.  Every survivor and every timeout
-is printed as `file:line source`, then the counts.  The runs never overlap;
-a full sweep takes the better part of an hour on a 2-vCPU x86-64 host.
-pytest does not collect this file.
+is printed as `file:line source`, then the counts.  The exit status is 1
+when any mutant timed out, since a loop that a one-line change keeps from
+ending hangs whatever calls it; tests/test_loops.py keeps `while` out of
+the package for that reason.  Survivors leave it at 0, as a few are
+equivalent rewrites.  The runs never overlap; a full sweep takes the
+better part of an hour on a 2-vCPU x86-64 host.  pytest does not collect
+this file.
 """
 
 import ast
@@ -84,8 +88,11 @@ def standing_failures(copy: Path) -> list:
     return sorted(json.loads(lastfailed.read_text())) if lastfailed.exists() else []
 
 
-def sweep(copy: Path, name: str, mutants, deselect: list) -> None:
-    """Run every mutant that mutants(tree) lists, print survivors, timeouts and counts."""
+def sweep(copy: Path, name: str, mutants, deselect: list) -> int:
+    """Run every mutant that mutants(tree) lists, print survivors, timeouts and counts.
+
+    Returns the number of mutants that timed out.
+    """
     counts = {"killed": 0, "survived": 0, "timed out": 0}
     for path in sorted((copy / "src" / "carleman").glob("*.py")):
         if path.name == "__init__.py":
@@ -106,6 +113,7 @@ def sweep(copy: Path, name: str, mutants, deselect: list) -> None:
             path.write_bytes(source)
     print(f"{name}: {sum(counts.values())} mutants, "
           + ", ".join(f"{n} {verdict}" for verdict, n in counts.items()), flush=True)
+    return counts["timed out"]
 
 
 def main() -> None:
@@ -118,8 +126,10 @@ def main() -> None:
         deselect = [f"--deselect={node_id}" for node_id in failing]
         if tier1(copy, "-x", "-p", "no:cacheprovider", *deselect) != 0:
             sys.exit("the unmutated suite fails with its failing tests deselected")
-        sweep(copy, "if tests set to False", if_tests, deselect)
-        sweep(copy, "statements set to pass", body_statements, deselect)
+        timeouts = sweep(copy, "if tests set to False", if_tests, deselect)
+        timeouts += sweep(copy, "statements set to pass", body_statements, deselect)
+    if timeouts:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

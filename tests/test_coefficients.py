@@ -23,7 +23,7 @@ from carleman import (
 from carleman.coefficients import _blocks, _sum_over_2_up
 from carleman.verify import E_HI
 
-# First twelve values, frozen.  The two independent exact constructions
+# First twelve values, frozen.  The two exact constructions
 # agree on them bit for bit, and the quadrature recovery from the
 # integral representation reproduces each to ~1e-17.
 FIRST_TWELVE = [

@@ -150,6 +150,21 @@ def test_tail_bound_never_undershoots_at_term_cap():
     assert tail_bound(1e-6, 1) >= closed
 
 
+@pytest.mark.parametrize("x, m, expected", [
+    (2.5, 6, "0x1.46376be7cf159p-17"),  # remainder below 1e-18 of the sum
+    (1, 960, "0x1.89d47d652f922p-979"),  # remainder below 1e-300
+    (1e-6, 1, "0x1.5bee9c91d541ap+0"),  # the 100000 terms of the range
+    (1, 2000, "0x0.0000000000006p-1022"),  # every term underflows
+], ids=["relative", "absolute", "cap", "underflow"])
+def test_tail_bound_each_exit_bit_for_bit(x, m, expected):
+    """One point per way the sum stops, each pinned to its last bit.
+
+    At (1, 960) summing on to the cap instead of stopping at 1e-300 gives
+    0x1.89d3c944a7534p-979, so this point fails if the exit test is lost.
+    """
+    assert tail_bound(x, m).hex() == expected
+
+
 def test_weight_at_large_x():
     exact = refinement_factor(10**20, 6, TABLE)
     assert exact.float_value == 1.0

@@ -163,7 +163,7 @@ def test_fault_injection_fails_decrease_check():
     by_name = {c.name: c for c in report.checks}
     assert by_name["coefficient-decrease"].status == FAIL
     assert by_name["coefficient-decrease"].claim_ref == "Eq. (3.3)"
-    # the independent construction notices the discrepancy too
+    # the series oracle, built fresh, notices the discrepancy too
     assert by_name["oracle-equivalence"].status == FAIL
 
 
