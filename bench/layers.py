@@ -1,36 +1,30 @@
-"""Time the table builders and the refinement-weights layer at fixed sizes.
-
-Run from the root of a checkout with the number of the change whose figures
-the file records and the src/ directory of each commit to compare:
+"""Time every layer of the package at fixed sizes, for one or more commits in one process.
 
     python3 bench/layers.py NUMBER src ../parent/src
 
-The script writes BENCH_<number>.json.  Each repeat runs every size once in
-a child process per commit, with PYTHONPATH at that commit's src/, and the
-order of the commits alternates from one repeat to the next, so a switch of
-the host between fast and slow states falls on both sides alike.  Every
-figure is the best of the repeats, and a child times each size below
-0.1 s TRIES times.  Each child also times a control, the same stdlib
-Fraction sum for every commit, so the file shows whether its sides ran at
-the same host speed.  Next to the best-of figures, each later commit gets
-first_over_this: per size, the first commit's time over its own within
-each repeat, with the median, least and greatest of those ratios, whose
-spread shows how far a ratio can be trusted on a host that changes speed.
+run from the root of a checkout, writes BENCH_<NUMBER>.json for the src/
+directory of each commit.  `load` imports each commit's package side by
+side.  Each size gets one warm-up call on every commit, and the first
+commit's sets how many calls make a timing of about SAMPLE_S seconds, the
+same on every commit.  The size is then timed on each commit in turn for
+REPEATS rounds, the order alternating, so a switch of the host between fast
+and slow states falls on both sides alike.  best_s is the least per-call
+time of the rounds, and each later commit gets first_over_this: per size,
+the first commit's time over its own in each round, with the median, least
+and greatest.  The control, one stdlib Fraction sum, shows whether the sides
+ran at the same speed.
 
-The sizes: both builders at N = 20, 200, 600, 1001 and 2000 (the small ones
-as the mean of several calls), carleman_demo at (terms, entries) =
-(1, 2 000), (6, 20 000) and (20, 20 000), one exact and one float
-refinement_factor call at terms = 20, and tail_bound at (x, terms) =
-(0.001, 20), (2.5, 6) and (1e-6, 1).  Each table records a hash of its
-integers, each demo its rhs in hex and each tail bound its value in hex,
-so the file shows whether the commits computed the same values bit for
-bit.
+The sizes, in `sizes`, cover the layers (a) the two table builders, (b) the
+four exact table checks, (c) the quadrature and run_verification() and (d)
+the weights, the demo and tail_bound, each at fixed arguments.  `values`
+holds a fingerprint of each result (a hash of a table's integers or of
+checks' names and statuses, or a float in hex), so the file shows whether
+the commits computed the same, bit for bit.
 """
-
-from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -40,27 +34,43 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 5
-TRIES = 5  # timings per child of each size below 0.1 s
-BUILDS = ((20, 100, TRIES), (200, 2, TRIES), (600, 1, 1), (1001, 1, 1), (2000, 1, 1))
+# Rounds per size: odd, so a median ratio is one round's, and enough that rounds spread
+# by about 11% (the A/A sittings on 2 vCPUs) leave the median within about 3%.
+REPEATS = 21
+SAMPLE_S = 0.05  # the length of one timing
+BUILDS = (20, 200, 600, 1001, 2000)
+CHECKS_N = 1001
 DEMOS = ((1, 2_000), (6, 20_000), (20, 20_000))
 FACTOR_TERMS = 20
-FACTOR_CALLS = 2_000
-TAILS = ((0.001, 20, 10), (2.5, 6, 2_000), (1e-6, 1, 3))  # (x, terms, calls)
+TAILS = ((0.001, 20), (2.5, 6), (1e-6, 1))
 
 
-def timed(fn, calls: int = 1, tries: int = TRIES) -> tuple:
-    """(least of `tries` timings of one call of fn, each a mean of `calls` calls; a result)."""
-    best = float("inf")
-    for _ in range(tries):
-        start = time.perf_counter()
-        for _ in range(calls):
-            result = fn()
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best, result
+def load(src):
+    """The carleman package under src/, imported anew; sys.modules and sys.path are left as found.
+
+    Every module of the package binds its imports at module level, so each
+    function keeps its own commit's globals once the entries are restored.
+    """
+    def ours():
+        return [name for name in sys.modules if name.partition(".")[0] == "carleman"]
+
+    saved, path = {name: sys.modules.pop(name) for name in ours()}, sys.path[:]
+    sys.path.insert(0, str(Path(src).resolve()))
+    try:
+        return importlib.import_module("carleman")
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
+        sys.path[:] = path
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(str(obj).encode()).hexdigest()[:16]
 
 
 def demo_sequence(length: int) -> list[float]:
@@ -72,96 +82,83 @@ def demo_sequence(length: int) -> list[float]:
     return seq
 
 
-def once() -> dict:
-    """The timings and values of every size, by name, for the carleman on sys.path."""
-    import carleman
-    from carleman import CoefficientTable, Rational, carleman_demo, refinement_factor, tail_bound
-
-    src = Path(carleman.__file__).resolve().parent
-    times = {"control": timed(lambda: sum(Fraction(1, k) for k in range(1, 400)), 10)[0]}
-    hashes = {}
-    for max_n, calls, tries in BUILDS:
-        for build in (CoefficientTable.from_recurrence, CoefficientTable.from_series_oracle):
-            name = f"{build.__name__}_{max_n}"
-            times[name], table = timed(lambda: build(max_n), calls, tries)
-            ints = " ".join(map(hex, (*table.numerators, table.denominator)))
-            hashes[name] = hashlib.sha256(ints.encode()).hexdigest()[:16]
+def sizes(pkg) -> dict:
+    """Per size name: (a call of no arguments, a function from its result to a fingerprint)."""
+    Table = pkg.CoefficientTable
+    integers = lambda table: digest(" ".join(map(hex, (*table.numerators, table.denominator))))
+    verdicts = lambda checks: digest([(check.name, check.status) for check in checks])
+    found = {"control": (lambda: sum(Fraction(1, k) for k in range(1, 400)), digest)}
+    for max_n in BUILDS:
+        for build in (Table.from_recurrence, Table.from_series_oracle):
+            found[f"{build.__name__}_{max_n}"] = (partial(build, max_n), integers)
+    table, oracle = Table.from_recurrence(CHECKS_N), Table.from_series_oracle(CHECKS_N)
+    for check, *args in ((pkg.bound_check, table), (pkg.monotonicity_check, table),
+                         (pkg.ratio_trend_check, table),
+                         (pkg.oracle_equivalence_check, table, oracle)):
+        found[f"{check.__name__}_{CHECKS_N}"] = (partial(check, *args), lambda c: verdicts([c]))
+    moment = lambda result: f"{result.value.hex()} {result.levels_used}"
+    found["coefficient_by_moment_20"] = (partial(pkg.coefficient_by_moment, 20), moment)
+    found["density_identity_checks"] = (pkg.density_identity_checks, verdicts)
+    found["run_verification"] = (pkg.run_verification, lambda report: verdicts(report.checks))
     for terms, entries in DEMOS:
-        table = CoefficientTable.from_recurrence(terms)
-        seq = demo_sequence(entries)
-        name = f"carleman_demo_{terms}_{entries}"
-        times[name], demo = timed(lambda: carleman_demo(seq, terms, table))
-        hashes[name] = demo.rhs.hex()
-    table = CoefficientTable.from_recurrence(FACTOR_TERMS)
-    for kind, x in (("exact", Rational(3, 2)), ("float", 2.5)):
-        name = f"refinement_factor_{FACTOR_TERMS}_{kind}"
-        times[name] = timed(lambda: refinement_factor(x, FACTOR_TERMS, table), FACTOR_CALLS)[0]
-    for x, terms, calls in TAILS:
-        name = f"tail_bound_{x}_{terms}"
-        times[name], bound = timed(lambda: tail_bound(x, terms), calls)
-        hashes[name] = bound.hex()
-    return {
-        "commit": subprocess.run(
-            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=7"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip(),
-        "python": platform.python_version(),
-        "carrier": f"{Rational.__module__}.{Rational.__qualname__}",
-        "times": times,
-        "values": hashes,
-    }
+        demo = partial(pkg.carleman_demo, demo_sequence(entries), terms,
+                       Table.from_recurrence(terms))
+        found[f"carleman_demo_{terms}_{entries}"] = (demo, lambda report: report.rhs.hex())
+    table = Table.from_recurrence(FACTOR_TERMS)
+    for kind, x in (("exact", pkg.Rational(3, 2)), ("float", 2.5)):
+        factor = partial(pkg.refinement_factor, x, FACTOR_TERMS, table)
+        found[f"refinement_factor_{FACTOR_TERMS}_{kind}"] = (factor, digest)
+    for x, terms in TAILS:
+        found[f"tail_bound_{x}_{terms}"] = (partial(pkg.tail_bound, x, terms), float.hex)
+    return found
 
 
-def child(src: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    out = subprocess.run([sys.executable, __file__, "--once"], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
-
-
-def paired(first: list, other: list) -> dict:
-    """Per size: the ratio first/other of the times within each repeat, with its spread."""
-    ratios = {}
-    for name in first[0]["times"]:
-        per_repeat = [a["times"][name] / b["times"][name] for a, b in zip(first, other)]
-        spread = (statistics.median(per_repeat), min(per_repeat), max(per_repeat))
-        ratios[name] = {key: float(f"{r:.4g}") for key, r in zip(("median", "min", "max"), spread)}
-        ratios[name]["per_repeat"] = [float(f"{r:.4g}") for r in per_repeat]
-    return ratios
+def spread(first: list, other: list) -> dict:
+    """The ratios first/other of the times round by round, with their median and extremes."""
+    per_repeat = [float(f"{a / b:.4g}") for a, b in zip(first, other)]
+    return {"median": statistics.median(per_repeat), "min": min(per_repeat),
+            "max": max(per_repeat), "per_repeat": per_repeat}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--once", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("number", type=int, nargs="?",
-                        help="the file written is BENCH_<number>.json")
-    parser.add_argument("src", nargs="*", help="the src/ directory of each commit to time")
+    parser.add_argument("number", type=int, help="the file written is BENCH_<number>.json")
+    parser.add_argument("src", nargs="+", help="the src/ directory of each commit to time")
     args = parser.parse_args()
-    if args.once:
-        print(json.dumps(once()))
-        return
-    if args.number is None or not args.src:
-        parser.error("give the BENCH number and at least one src/ directory")
-    runs = {src: [] for src in args.src}
-    for repeat in range(REPEATS):
-        order = args.src if repeat % 2 == 0 else args.src[::-1]
-        for src in order:
-            runs[src].append(child(src))
-    doc = {"harness": "bench/layers.py", "repeats": REPEATS, "tries": TRIES,
+    packages = [load(src) for src in args.src]
+    found = [sizes(pkg) for pkg in packages]
+    times = [{name: [] for name in calls} for calls in found]
+    values = [{} for _ in found]
+    sides = list(range(len(found)))
+    for name in found[0]:
+        for side in sides[::-1]:  # the first side's warm-up, the last, sets the count
+            start = time.perf_counter()
+            found[side][name][0]()
+        calls = max(1, round(SAMPLE_S / (time.perf_counter() - start)))
+        for repeat in range(REPEATS):
+            for side in sides if repeat % 2 == 0 else sides[::-1]:
+                call, fingerprint = found[side][name]
+                start = time.perf_counter()
+                for _ in range(calls):
+                    result = call()
+                times[side][name].append((time.perf_counter() - start) / calls)
+                value = fingerprint(result)
+                if values[side].setdefault(name, value) != value:
+                    raise SystemExit(f"{args.src[side]}: {name} differs between rounds")
+    doc = {"harness": "bench/layers.py", "repeats": REPEATS, "sample_s": SAMPLE_S,
            "cpu_count": os.cpu_count(), "runs": []}
-    first_runs = runs[args.src[0]]
-    for repeats in runs.values():
-        first = repeats[0]
-        if any(r["values"] != first["values"] for r in repeats):
-            raise SystemExit(f"{first['commit']}: values differ between repeats")
-        best = {name: min(r["times"][name] for r in repeats) for name in first["times"]}
+    for side, (src, pkg) in enumerate(zip(args.src, packages)):
+        describe = ["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=7"]
         run = {
-            "commit": first["commit"], "python": first["python"], "carrier": first["carrier"],
-            "best_s": {name: float(f"{t:.4g}") for name, t in best.items()},
-            "values": first["values"],
+            "commit": subprocess.check_output(describe, text=True).strip(),
+            "python": platform.python_version(),
+            "carrier": f"{pkg.Rational.__module__}.{pkg.Rational.__qualname__}",
+            "best_s": {name: float(f"{min(t):.4g}") for name, t in times[side].items()},
+            "values": values[side],
         }
-        if repeats is not first_runs:
-            run["first_over_this"] = paired(first_runs, repeats)
+        if side:
+            run["first_over_this"] = {name: spread(times[0][name], t)
+                                      for name, t in times[side].items()}
         doc["runs"].append(run)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -271,7 +271,7 @@ def load_sequence_csv(path) -> list[float]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc.encoding!r} codec can't decode "
                              f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}") from None
-        if text[:1] == text[-1:] == '"':
+        if len(text) > 1 and text[0] == text[-1] == '"':
             text = text[1:-1].strip()
         if "," in text:
             raise ValueError(f"line {lineno}: expected a single column, got {text.count(',') + 1}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    path for folder in ("src/carleman", "tests") for path in (ROOT / folder).glob("*.py")
+    path for folder in ("src/carleman", "tests", "bench") for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
 
