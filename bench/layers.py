@@ -17,8 +17,8 @@ ran at the same speed.
 The sizes, in `sizes`, cover the layers (a) the two table builders, (b) the
 four exact table checks, (c) the quadrature and run_verification() and (d)
 the weights, the demo and tail_bound, each at fixed arguments.  `values`
-holds a fingerprint of each result (a hash of a table's integers or of
-checks' names and statuses, or a float in hex), so the file shows whether
+holds a fingerprint of each result (a hash of a table's reduced entries or
+of checks' names and statuses, or a float in hex), so the file shows whether
 the commits computed the same, bit for bit.
 """
 
@@ -73,6 +73,11 @@ def digest(obj) -> str:
     return hashlib.sha256(str(obj).encode()).hexdigest()[:16]
 
 
+def entries(table) -> str:
+    """Hash of the table's reduced entries, read from `values`, which every commit's table has."""
+    return digest(" ".join(f"{hex(v.numerator)}/{hex(v.denominator)}" for v in table.values))
+
+
 def demo_sequence(length: int) -> list[float]:
     """a_n = r_n/n with r_n uniform in [0.5, 1.5) from a fixed seed, and three zeros."""
     rng = random.Random(length)
@@ -85,12 +90,11 @@ def demo_sequence(length: int) -> list[float]:
 def sizes(pkg) -> dict:
     """Per size name: (a call of no arguments, a function from its result to a fingerprint)."""
     Table = pkg.CoefficientTable
-    integers = lambda table: digest(" ".join(map(hex, (*table.numerators, table.denominator))))
     verdicts = lambda checks: digest([(check.name, check.status) for check in checks])
     found = {"control": (lambda: sum(Fraction(1, k) for k in range(1, 400)), digest)}
     for max_n in BUILDS:
         for build in (Table.from_recurrence, Table.from_series_oracle):
-            found[f"{build.__name__}_{max_n}"] = (partial(build, max_n), integers)
+            found[f"{build.__name__}_{max_n}"] = (partial(build, max_n), entries)
     table, oracle = Table.from_recurrence(CHECKS_N), Table.from_series_oracle(CHECKS_N)
     for check, *args in ((pkg.bound_check, table), (pkg.monotonicity_check, table),
                          (pkg.ratio_trend_check, table),

@@ -36,9 +36,9 @@ from .report import VerificationReport
 from .verify import corrupted_table, engine_config, run_verification
 
 #: Longest coefficient table the CLI builds (--max-n, --terms).  On a
-#: 2-vCPU x86-64 host from_recurrence takes about 2 s at N = 1001, 7 s at
-#: 1500 and 18 s at 2000 (roughly N**3.3), and `verify` builds two tables,
-#: so `verify --max-n 2000` runs for about 40 s.
+#: 2-vCPU x86-64 host from_recurrence takes 1.05-1.13 s at N = 1001 and
+#: 10.1-11.2 s at 2000 (best of 21, BENCH_22.json; roughly N**3.3), and
+#: `verify` builds two tables, so `verify --max-n 2000` runs for about 30 s.
 MAX_TABLE_N = 2000
 
 #: Most significant digits of `coeffs --mode decimal` (--digits); at the cap
@@ -47,8 +47,8 @@ MAX_DIGITS = 10000
 
 #: Largest exact weight `factor` computes, measured as terms * bit_length(p + q)
 #: for x = p/q (the weight's bits, less the table denominator's).  At the cap
-#: and --terms 2000 the integer Horner pass and the rendering take about 13 s
-#: on the host above, less than the 14-16 s of the table build itself.
+#: and --terms 2000 the integer Horner pass and the rendering take about 12 s
+#: on the host above, about as long as the table build itself.
 MAX_WEIGHT_BITS = 600_000
 
 def _positive_int(text: str, cap: float = math.inf) -> int:
@@ -92,7 +92,7 @@ def _positive_float(text: str) -> float:
         value = _float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {_quoted(text)}") from None
-    if not value > 0 or not math.isfinite(value):
+    if not value > 0:
         raise argparse.ArgumentTypeError("must be a positive finite number")
     if value > sys.float_info.max / 10:  # some checks compare at 10 * tol
         raise argparse.ArgumentTypeError("outside the floating-point range")
@@ -204,11 +204,11 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--max-n must be at least 4")
     if not 2 <= args.quad_max <= args.max_n:
         parser.error("--quad-max must lie between 2 and --max-n")
-    table = None
+    if args.inject_fault is not None and not 2 <= args.inject_fault <= args.max_n:
+        parser.error("--inject-fault must lie between 2 and --max-n")
+    table = CoefficientTable.from_recurrence(args.max_n)
     if args.inject_fault is not None:
-        if not 2 <= args.inject_fault <= args.max_n:
-            parser.error("--inject-fault must lie between 2 and --max-n")
-        table = corrupted_table(CoefficientTable.from_recurrence(args.max_n), args.inject_fault)
+        table = corrupted_table(table, args.inject_fault)
     report = run_verification(args.max_n, args.quad_max, args.tol, table=table)
     print(report.to_json())
     return 0 if report.all_passed else 1

@@ -86,13 +86,11 @@ def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureR
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    value = _level_sum(func, 0)
-    streak = 0
+    value, error = _level_sum(func, 0), math.inf
     for level in range(1, _MAX_LEVELS + 1):
-        previous = value
+        previous, last = value, error
         value = 0.5 * value + _level_sum(func, level) / (1 << level)
         error = abs(value - previous)
-        streak = streak + 1 if level >= _MIN_LEVELS and error <= tol else 0
-        if streak == 2:
+        if level > _MIN_LEVELS and max(error, last) <= tol:
             return QuadratureResult(value, error, level, True)
     return QuadratureResult(value, error, _MAX_LEVELS, False)

@@ -164,7 +164,7 @@ def run_verification(
     max_n: int = 200,
     quad_max: int = 20,
     tol: float = 1e-10,
-    table: CoefficientTable = None,
+    table: CoefficientTable | None = None,
 ) -> VerificationReport:
     """Run the whole sweep and assemble the report.
 

@@ -17,7 +17,8 @@ def oracle200():
 def table1001():
     """The long table behind the n <= 1000 sweeps.
 
-    Costs about 2 seconds to build (measured on a 2-vCPU x86-64 host), so
-    it is session scoped and shared by every test that needs deep indices.
+    Costs about 1.1 seconds to build (best of 21 on a 2-vCPU x86-64 host,
+    BENCH_22.json), so it is session scoped and shared by every test that
+    needs deep indices.
     """
     return CoefficientTable.from_recurrence(1001)

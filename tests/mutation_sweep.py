@@ -1,12 +1,17 @@
-"""Mutation sweep: which `if` tests and statements of the package no test needs.
+"""Mutation sweep: which `if` tests, statements and clauses of the package no test needs.
 
     python tests/mutation_sweep.py
 
-The script copies the repository to a temporary directory and runs two
+The script copies the repository to a temporary directory and runs three
 sweeps over src/carleman/*.py (not __init__.py), one mutant at a time:
 
 - the test of each `if` statement replaced by False;
-- each statement in a function body, docstrings aside, replaced by pass.
+- each statement in a function body, docstrings and `pass` aside, replaced
+  by pass;
+- each clause: the test of each `if` statement replaced by True, the test
+  of each conditional expression by True and by False, each `and`/`or`
+  with one operand dropped, and each chained comparison with one link
+  dropped.
 
 Each mutant gets one Tier-1 run (pytest -x, 120 s timeout).  Tests that
 already fail on the unmutated copy are deselected, so a mutant is killed
@@ -15,9 +20,8 @@ is printed as `file:line source`, then the counts.  The exit status is 1
 when any mutant timed out, since a loop that a one-line change keeps from
 ending hangs whatever calls it; tests/test_loops.py keeps `while` out of
 the package for that reason.  Survivors leave it at 0, as a few are
-equivalent rewrites.  The runs never overlap; a full sweep takes the
-better part of an hour on a 2-vCPU x86-64 host.  pytest does not collect
-this file.
+equivalent rewrites.  The runs never overlap; a full sweep takes about an
+hour on a 2-vCPU x86-64 host.  pytest does not collect this file.
 """
 
 import ast
@@ -47,8 +51,32 @@ def body_statements(tree):
             inside.update(id(node) for node in ast.walk(func) if node is not func)
             if ast.get_docstring(func) is not None:
                 docstrings.add(id(func.body[0]))
-    return [(node, "pass") for node in ast.walk(tree)
-            if isinstance(node, ast.stmt) and id(node) in inside - docstrings]
+    return [(node, "pass") for node in ast.walk(tree) if isinstance(node, ast.stmt)
+            and not isinstance(node, ast.Pass) and id(node) in inside - docstrings]
+
+
+def clauses(tree):
+    """Each `if` test as True, each conditional test as True and as False, each
+    `and`/`or` less one operand and each chained comparison less one link."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If):
+            found.append((node.test, ast.Constant(True)))
+        elif isinstance(node, ast.IfExp):
+            found += [(node.test, ast.Constant(True)), (node.test, ast.Constant(False))]
+        elif isinstance(node, ast.BoolOp):
+            for i in range(len(node.values)):
+                rest = node.values[:i] + node.values[i + 1:]
+                found.append((node, ast.BoolOp(node.op, rest) if len(rest) > 1 else rest[0]))
+        elif isinstance(node, ast.Compare) and len(node.ops) > 1:
+            operands = [node.left, *node.comparators]
+            for i in range(len(node.ops)):
+                # the chain splits at link i into two shorter chains, either maybe empty
+                parts = [ast.Compare(operands[0], node.ops[:i], operands[1:i + 1]),
+                         ast.Compare(operands[i + 1], node.ops[i + 1:], operands[i + 2:])]
+                parts = [part for part in parts if part.ops]
+                found.append((node, ast.BoolOp(ast.And(), parts) if len(parts) > 1 else parts[0]))
+    return [(node, f"({ast.unparse(new)})") for node, new in found]
 
 
 def mutate(source: bytes, node, replacement: str) -> bytes:
@@ -128,6 +156,7 @@ def main() -> None:
             sys.exit("the unmutated suite fails with its failing tests deselected")
         timeouts = sweep(copy, "if tests set to False", if_tests, deselect)
         timeouts += sweep(copy, "statements set to pass", body_statements, deselect)
+        timeouts += sweep(copy, "clauses", clauses, deselect)
     if timeouts:
         sys.exit(1)
 

@@ -103,19 +103,21 @@ def test_verify_fault_injection(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    for argv in (
-        ["verify", "--max-n", "10", "--quad-max", "20"],
-        ["verify", "--tol", "-1"],
-        ["verify", "--max-n", "3"],
-        ["verify", "--max-n", "30", "--inject-fault", "1"],
+    for argv, error in (
+        (["--max-n", "10", "--quad-max", "20"], "--quad-max must lie between 2 and --max-n"),
+        (["--quad-max", "1"], "--quad-max must lie between 2 and --max-n"),
+        (["--tol", "-1"], "argument --tol: must be a positive finite number"),
+        (["--max-n", "3"], "--max-n must be at least 4"),
+        (["--max-n", "3", "--quad-max", "3"], "--max-n must be at least 4"),
+        (["--max-n", "30", "--inject-fault", "1"],
+         "--inject-fault must lie between 2 and --max-n"),
+        (["--max-n", "30", "--inject-fault", "31"],
+         "--inject-fault must lie between 2 and --max-n"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["verify", *argv])
         assert exc.value.code == 2, argv
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max-n", "3", "--quad-max", "3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "carleman: error: --max-n must be at least 4"
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: {error}"), argv
 
 
 def test_factor_table_output(capsys):
@@ -348,40 +350,46 @@ def test_tolerance_option_reaches_the_checks(capsys):
                          ids=["verify", "integrals", "limit"])
 def test_tolerance_past_a_tenth_of_float_max_is_refused(capsys, argv):
     """Checks compare at 10 * tol, which must stay finite: JSON has no Infinity."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--tol", "1e308"])
-    assert exc.value.code == 2
-    error = capsys.readouterr().err.splitlines()[-1]
-    assert error == f"carleman {argv[0]}: error: argument --tol: outside the floating-point range"
+    for tol in ("1e308", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == (f"carleman {argv[0]}: error: argument --tol: "
+                         "outside the floating-point range"), tol
 
 
 TOL_TOP = repr(sys.float_info.max / 10)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--max-n", "20", "--tol", TOL_TOP],
-    ["verify", "--max-n", "20", "--tol", TOL_TOP, "--inject-fault", "3"],
-    ["verify", "--max-n", "20", "--tol", "5e-324"],
-    ["integrals", "--tol", TOL_TOP],
-    ["integrals", "--tol", "5e-324"],
-    ["limit", "--n", "1" + "0" * 308, "--format", "json"],
-    ["limit", "--n", "1", "--tol", TOL_TOP, "--format", "json"],
-    ["factor", "--x", "1.7e308", "--format", "json"],
-    ["factor", "--x", "5e-324", "--terms", "200", "--format", "json"],
-    ["coeffs", "--max-n", "3", "--mode", "decimal", "--digits", "1", "--format", "json"],
-    ["demo", "--seq", "big.csv", "--format", "json"],
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--max-n", "20", "--tol", TOL_TOP], 0),
+    (["verify", "--max-n", "20", "--tol", TOL_TOP, "--inject-fault", "3"], 1),
+    (["verify", "--max-n", "20", "--tol", "5e-324"], 1),
+    (["integrals", "--tol", TOL_TOP], 0),
+    (["integrals", "--tol", "5e-324"], 1),
+    (["limit", "--n", "1" + "0" * 308, "--format", "json"], 1),
+    (["limit", "--n", "1", "--tol", TOL_TOP, "--format", "json"], 0),
+    (["factor", "--x", "1.7e308", "--format", "json"], 0),
+    (["factor", "--x", "5e-324", "--terms", "200", "--format", "json"], 0),
+    (["coeffs", "--max-n", "3", "--mode", "decimal", "--digits", "1", "--format", "json"], 0),
+    (["demo", "--seq", "big.csv", "--format", "json"], 0),
 ], ids=["verify-top", "verify-top-fault", "verify-subnormal", "integrals-top",
         "integrals-subnormal", "limit-n-top", "limit-tol-top", "factor-top", "factor-subnormal",
         "coeffs-one-digit", "demo-overflow"])
-def test_json_at_the_edges_of_the_domain_is_strict_json(capsys, tmp_path, monkeypatch, argv):
-    """RFC 8259 has no Infinity or NaN, so strict parsers refuse them."""
+def test_json_at_the_edges_of_the_domain_is_strict_json(capsys, tmp_path, monkeypatch, argv,
+                                                        code):
+    """RFC 8259 has no Infinity or NaN, so strict parsers refuse them.
+
+    At a subnormal tol no check can pass; at the top every check passes but
+    the injected fault's, and L(10**308) does not converge."""
     def refuse(constant):
         raise ValueError(f"not JSON: {constant}")
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.csv").write_text("1e308\n1e308\n1e308\n")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code in (0, 1)
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == code
     json.loads(out, parse_constant=refuse)
 
 

@@ -77,7 +77,7 @@ def test_rejects_nonpositive_max_n():
 def test_value_range_errors(table200):
     with pytest.raises(IndexError):
         table200.value(0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="outside table range"):
         table200.value(201)
 
 
@@ -116,6 +116,17 @@ def test_bound_check_equality_only_at_one(table200):
     assert check.values["violations"] == []
     with pytest.raises(ValueError, match="table is empty"):
         bound_check(CoefficientTable(numerators=(), denominator=1))
+    # c_2 above its cap, c_2 = 0, and c_2 = 1/6 at its cap
+    for numerators, denominator, violations, equalities in (
+        ((1, 1), 2, [2], [1]),
+        ((1, 0), 2, [2], [1]),
+        ((3, 1), 6, [], [1, 2]),
+    ):
+        check = bound_check(CoefficientTable(numerators, denominator))
+        assert check.status == FAIL
+        assert check.values["violations"] == violations
+        assert check.values["equality_at"] == equalities
+        assert check.detail == f"violations at n={violations}, equality at n={equalities}"
 
 
 def test_sharp_constant_to_1001(table1001):
@@ -167,6 +178,12 @@ def test_ratio_trend(table200):
     check = ratio_trend_check(table200)
     assert check.status == PASS
     assert 0.0 < check.values["last_ratio"] < 1.0
+    # 6, 4, 3, 2, 1 over 12 decreases, but from n = 2 its ratios 3/4, 2/3, 1/2 fall
+    table = CoefficientTable((6, 4, 3, 2, 1), 12)
+    assert monotonicity_check(table).status == PASS
+    check = ratio_trend_check(table)
+    assert check.status == FAIL
+    assert check.detail == "below_one=True, non-increasing at n=[2, 3]"
 
 
 def test_ratio_trend_needs_four_entries():

@@ -1,10 +1,12 @@
 """bench/layers.py imports a commit's package beside the session's own."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from carleman import CoefficientTable
+from carleman import CoefficientTable, Rational
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("layers", ROOT / "bench" / "layers.py")
@@ -26,3 +28,14 @@ def test_load_imports_a_second_package_and_leaves_the_session_as_found():
     mine, theirs = CoefficientTable.from_recurrence(30), other.CoefficientTable.from_recurrence(30)
     assert theirs.numerators == mine.numerators
     assert theirs.denominator == mine.denominator
+
+
+def test_entries_hashes_the_reduced_values_in_hex():
+    table = CoefficientTable.from_recurrence(3)  # 1/2, 1/24, 1/48 over D = 48
+    expected = hashlib.sha256(b"0x1/0x2 0x1/0x18 0x1/0x30").hexdigest()[:16]
+    assert layers.entries(table) == expected
+    # an early commit's table held only `values`
+    old = SimpleNamespace(values=(Rational(1, 2), Rational(1, 24), Rational(1, 48)))
+    assert layers.entries(old) == expected
+    assert layers.entries(CoefficientTable.from_series_oracle(3)) == expected
+    assert layers.entries(CoefficientTable.from_recurrence(4)) != expected

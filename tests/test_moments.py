@@ -1,5 +1,7 @@
 """Coefficient recovery from the integral representations."""
 
+import dataclasses
+
 import pytest
 
 from carleman import (
@@ -10,6 +12,7 @@ from carleman import (
     density_identity_checks,
     scaled_derivative_moment,
 )
+from carleman import moments
 
 
 def test_moment_small_orders():
@@ -121,3 +124,12 @@ def test_scaled_estimate_decides_convergence():
     result = scaled_derivative_moment(10**17, tol)
     assert result.error_estimate > tol
     assert not result.converged
+
+
+def test_unconverged_integral_is_not_converged_whatever_its_estimate(monkeypatch):
+    integrate = moments.integrate
+    monkeypatch.setattr(moments, "integrate", lambda func, tol: dataclasses.replace(
+        integrate(func, tol), converged=False))
+    result = scaled_derivative_moment(10)
+    assert result.error_estimate <= 1e-12
+    assert result.converged is False

@@ -292,6 +292,7 @@ def test_load_sequence_csv_rejects_garbage(tmp_path):
         (b"", "no data"),
         (b'1\n"2\n"\nabc\n', "^line 2: not a number"),
         (b'1\n"\n2\n', "^line 2: not a number"),
+        (b'1\n2"\n', "^line 2: not a number"),
         (b"1\r\xe9\n", "^line 2: 'utf-8' codec can't decode byte 0xe9"),
         (b"\xef\xbb\xbf" + b"1\r\n" * 2000 + b"1\r" * 1000 + b"1\n" * 2000 + b"\xe9\n",
          "^line 5001: "),

@@ -1,5 +1,6 @@
 """The assembled verification sweep."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -15,6 +16,7 @@ from carleman import (
     engine_config,
     run_verification,
 )
+from carleman import integrands, moments, verify
 from carleman.verify import E_HI, E_LO, partial_sum_check
 
 # wire format: these names and their order are frozen
@@ -147,11 +149,13 @@ def test_e_bracket():
     (1 - 1 / E_LO - Fraction(1, 10**13), PASS),
     (1 - 1 / E_LO, FAIL),
     (1 - 1 / E_HI, FAIL),
-], ids=["gap-1e-13", "gap-unproved", "gap-negative"])
+    (Fraction(1, 10), FAIL),
+], ids=["gap-1e-13", "gap-unproved", "gap-negative", "gap-past-cap"])
 def test_partial_sum_sandwich_is_exact(partial_sum, status):
     """One-entry tables: a true gap of 1e-13 is proved, though a float guard
     of 1e-12 would refuse it; at 1 - 1/E_LO the true gap is positive but
-    below what the bracket can prove, and at 1 - 1/E_HI it is negative."""
+    below what the bracket can prove, and at 1 - 1/E_HI it is negative.
+    At 1/10 the gap exceeds its cap 1/2."""
     table = CoefficientTable((partial_sum.numerator,), partial_sum.denominator)
     assert partial_sum_check(table).status == status
 
@@ -173,14 +177,59 @@ def test_prebuilt_table_overrides_max_n(table200):
     assert by_name["oracle-equivalence"].values["compared_n"] == 200
 
 
+QUADRATURE_CHECKS = [
+    "moment-representation",
+    "moment-mirror-agreement",
+    "parts-representation",
+    "density-integral",
+    "density-first-moment",
+    "density-over-s",
+    "density-over-1-minus-s",
+    "gap-function-agreement",
+]
+
+
+def unconverged(func):
+    """func with the converged flag of every result cleared."""
+    return lambda *args, **kwargs: dataclasses.replace(func(*args, **kwargs), converged=False)
+
+
+def test_nonconvergence_fails_every_quadrature_check(monkeypatch):
+    # verify reaches the integrator through moments and integrands alone
+    monkeypatch.setattr(moments, "integrate", unconverged(moments.integrate))
+    monkeypatch.setattr(integrands, "integrate", unconverged(integrands.integrate))
+    report = run_verification(max_n=10, quad_max=5)
+    failed = [c.name for c in report.checks if c.status == FAIL]
+    assert failed == QUADRATURE_CHECKS
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["moment-representation"].values["all_converged"] is False
+    assert by_name["density-integral"].values["converged"] is False
+
+
+@pytest.mark.parametrize("spoiled", ["plain", "mirrored"])
+def test_mirror_agreement_needs_both_integrals_converged(monkeypatch, spoiled):
+    moment = verify.coefficient_by_moment
+
+    def spoil(n, tol, mirror=False):
+        kind = "mirrored" if mirror else "plain"
+        return dataclasses.replace(moment(n, tol, mirror=mirror), converged=kind != spoiled)
+
+    monkeypatch.setattr(verify, "coefficient_by_moment", spoil)
+    report = run_verification(max_n=10, quad_max=5)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["moment-mirror-agreement"].status == FAIL
+    assert by_name["moment-mirror-agreement"].values["all_converged"] is False
+    assert by_name["moment-representation"].status == (FAIL if spoiled == "plain" else PASS)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError, match="max_n must be >= 4"):
         run_verification(max_n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 <= quad_max <= max_n"):
         run_verification(max_n=10, quad_max=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quad_max"):
         run_verification(quad_max=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol must be positive"):
         run_verification(tol=0.0)
 
 
