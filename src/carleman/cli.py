@@ -209,7 +209,7 @@ def _cmd_verify(args, parser) -> int:
     table = CoefficientTable.from_recurrence(args.max_n)
     if args.inject_fault is not None:
         table = corrupted_table(table, args.inject_fault)
-    report = run_verification(args.max_n, args.quad_max, args.tol, table=table)
+    report = run_verification(quad_max=args.quad_max, tol=args.tol, table=table)
     print(report.to_json())
     return 0 if report.all_passed else 1
 

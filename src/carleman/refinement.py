@@ -183,7 +183,7 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
 
     Each weight W_m(n) is refinement_factor(n, terms, table).float_value,
     bit for bit, but is computed straight from the table's integers
-    without building a Fraction per entry, and past 2*terms entries
+    without building a Fraction per entry, and past the terms-th entry
     without a Horner pass per entry (see _demo_sums).  terms is
     checked once, with the ValueError or IndexError of refinement_factor.
 
@@ -220,22 +220,18 @@ def _demo_sums(values: list, nums: tuple, den: int, scale: float) -> tuple:
 
     A(s) = sum_k N_k s**(m-k) is an integer polynomial of degree m - 1 in
     s, so its m-th difference is zero (finite differences at equally
-    spaced points: Knuth, TAOCP vol. 2, 4.6.4).  A sequence of more than
-    2m entries takes A(2)..A(m+1) from _weight_sum and every later A(s)
+    spaced points: Knuth, TAOCP vol. 2, 4.6.4).  A(2)..A(k+1), with
+    k = min(m, len(values)), come from _weight_sum, and every later A(s)
     from _continued, m - 1 exact integer additions instead of a Horner
-    pass.  The integers are the same, so every float is.  The difference
-    table costs about m/3 Horner passes and each continued value saves
-    about half a pass, so a shorter sequence runs a Horner pass per entry.
+    pass.  The integers are the same, so every float is.  When k is
+    len(values), zip runs out of entries before it reads _continued.
 
     Both sums add left to right: sum() compensates from Python 3.12 on.
     """
     m = len(nums)
-    seeds = m if len(values) > 2 * m else len(values)
-    sums = [_weight_sum(nums, s, 1) for s in range(2, seeds + 2)]
-    if len(values) > seeds:
-        sums = itertools.chain(sums, _continued(sums))
+    sums = [_weight_sum(nums, s, 1) for s in range(2, min(m, len(values)) + 2)]
     weighted = 0.0
-    for s, a_s, a in zip(itertools.count(2), sums, values):
+    for s, a, a_s in zip(itertools.count(2), values, itertools.chain(sums, _continued(sums))):
         whole = den * s**m
         part = whole - a_s
         if not 0 < part < whole:

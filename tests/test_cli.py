@@ -458,6 +458,17 @@ def test_demo_near_top_of_double_range(tmp_path, capsys):
     assert "sum of geo means  = inf\nweighted rhs      = inf\n" in out
 
 
+def test_demo_exits_1_when_the_inequality_fails(tmp_path, capsys, monkeypatch):
+    # no table that from_recurrence builds makes the demo fail: c_1 = 3/2 does
+    table = CoefficientTable((3,), 2)
+    monkeypatch.setattr(CoefficientTable, "from_recurrence", staticmethod(lambda n: table))
+    path = tmp_path / "seq.csv"
+    path.write_text("1\n")
+    code, out, _ = run_cli(capsys, "demo", "--seq", str(path), "--terms", "1")
+    assert code == 1
+    assert "lhs < rhs         = False\n" in out
+
+
 def test_demo_missing_file(capsys):
     code = main(["demo", "--seq", "/nonexistent/sequence.csv"])
     captured = capsys.readouterr()

@@ -130,11 +130,12 @@ def test_bound_check_equality_only_at_one(table200):
 
 
 def test_sharp_constant_to_1001(table1001):
-    """b_n < 1/(e n(n+1)) for 2 <= n <= 1001, e times sharper than Eq. (3.2).
+    """The proved bound b_n < 1/(e n(n+1)), e times sharper than Eq. (3.2),
+    checked on the table's integers for 2 <= n <= 1001 (README, "Numerical notes").
 
-    E_HI lies above e, so n(n+1) N_n E_HI < D proves the bound on the table's
-    integers.  n(n+1) b_n rises from n = 3 on, that is N_n n < N_{n+1} (n+2),
-    and falls from n = 2 to 3.
+    E_HI lies above e, so n(n+1) N_n E_HI < D decides the bound exactly.
+    n(n+1) b_n rises from n = 3 on, that is N_n n < N_{n+1} (n+2), and
+    falls from n = 2 to 3.
     """
     nums, den = table1001.numerators, table1001.denominator
     for n in range(2, 1002):

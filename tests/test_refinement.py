@@ -205,7 +205,7 @@ def test_demo_zero_propagation():
 def test_demo_rescales_at_the_ends_of_the_double_range(entry):
     # both sums overflow at 1e308, and a subnormal entry carries few
     # digits; homogeneity gives the ratio of the all-ones sequence.
-    # 5 entries at m = 2 take the weights past 2m from the difference table
+    # 5 entries at m = 2 take the weights past the m-th from the difference table
     for length, terms in ((3, 6), (5, 2)):
         report = carleman_demo([entry] * length, terms, TABLE)
         assert report.holds
@@ -222,8 +222,8 @@ def test_demo_weights_are_refinement_factor_floats(terms):
     for n in range(1, 301):
         alone = carleman_demo([0.0] * (n - 1) + [1.0], terms, TABLE)
         assert alone.rhs == E * refinement_factor(n, terms, TABLE).float_value, n
-    # past 2m entries every weight after the m-th comes from a difference
-    # table, so the sums are also taken at the lengths on both sides of that
+    # every weight after the m-th comes from a difference table, so the sums
+    # are also taken at the lengths on both sides of m, and well past it
     lengths = {terms - 1, terms, terms + 1, 2 * terms, 2 * terms + 1, 5000} - {0}
     if terms == 20:
         lengths.add(20_000)
@@ -251,7 +251,7 @@ def test_demo_validation():
     with pytest.raises(ValueError, match=r"exact weight -1/4 outside \(0, 1\)"):
         carleman_demo([1.0], 1, CoefficientTable(numerators=(5,), denominator=2))
     # A(s) = 4 - s at m = 2: the weights 1/2 and 8/9 come from Horner
-    # passes, and W_2(3) = 16/16 from the difference table of 5 entries
+    # passes, and W_2(3) = 16/16 from the difference table
     with pytest.raises(ValueError, match=r"^exact weight 1 outside \(0, 1\)$"):
         carleman_demo([1.0] * 5, 2, CoefficientTable(numerators=(-1, 4), denominator=1))
     with pytest.raises(ValueError):
@@ -260,6 +260,12 @@ def test_demo_validation():
         carleman_demo([1.0, 2.0], 0, TABLE)
     with pytest.raises(IndexError, match="exceeds table range"):
         carleman_demo([1.0, 2.0], TABLE.max_n + 1, TABLE)
+
+
+def test_demo_that_fails():
+    # c_1 = 3/2 makes W_1(1) = 1/4, so the right side is e/4 < 1
+    report = carleman_demo([1.0], 1, CoefficientTable((3,), 2))
+    assert (report.holds, report.lhs, report.rhs) == (False, 1.0, 0.6795704571147613)
 
 
 def test_demo_refuses_entries_that_are_not_finite():
