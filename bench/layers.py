@@ -104,10 +104,10 @@ def sizes(pkg) -> dict:
     found["coefficient_by_moment_20"] = (partial(pkg.coefficient_by_moment, 20), moment)
     found["density_identity_checks"] = (pkg.density_identity_checks, verdicts)
     found["run_verification"] = (pkg.run_verification, lambda report: verdicts(report.checks))
-    for terms, entries in DEMOS:
-        demo = partial(pkg.carleman_demo, demo_sequence(entries), terms,
+    for terms, length in DEMOS:
+        demo = partial(pkg.carleman_demo, demo_sequence(length), terms,
                        Table.from_recurrence(terms))
-        found[f"carleman_demo_{terms}_{entries}"] = (demo, lambda report: report.rhs.hex())
+        found[f"carleman_demo_{terms}_{length}"] = (demo, lambda report: report.rhs.hex())
     table = Table.from_recurrence(FACTOR_TERMS)
     for kind, x in (("exact", pkg.Rational(3, 2)), ("float", 2.5)):
         factor = partial(pkg.refinement_factor, x, FACTOR_TERMS, table)

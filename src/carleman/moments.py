@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 from .integrands import E, EndpointSafeFunction, moment_density, moment_density_derivative
-from .quadrature import QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate_moment
 from .report import Check, FAIL, PASS
 
 
@@ -31,20 +31,14 @@ def coefficient_by_moment(n: int, tol: float = 1e-12, *, mirror: bool = False) -
     """
     if n < 2:
         raise ValueError("the moment representation needs n >= 2")
-    power = n - 2
-    if mirror:
-        func = lambda s: moment_density(s) * (1.0 - s) ** power
-    else:
-        func = lambda s: moment_density(s) * s**power
-    return integrate(func, tol).scaled(1.0 / E)
+    return integrate_moment(moment_density, n - 2, tol, mirror=mirror).scaled(1.0 / E)
 
 
 def coefficient_by_parts(n: int, tol: float = 1e-12) -> QuadratureResult:
     """c_n as -1/((n-1)e) * int density'(s) * s**(n-1) ds, for n >= 2."""
     if n < 2:
         raise ValueError("the integrated-by-parts representation needs n >= 2")
-    power = n - 1
-    result = integrate(lambda s: moment_density_derivative(s) * s**power, tol)
+    result = integrate_moment(moment_density_derivative, n - 1, tol)
     return result.scaled(-1.0 / ((n - 1) * E))
 
 
@@ -58,7 +52,7 @@ def scaled_derivative_moment(n: int, tol: float = 1e-12) -> QuadratureResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    result = integrate(lambda s: moment_density_derivative(s) * s**n, tol).scaled(float(n))
+    result = integrate_moment(moment_density_derivative, n, tol).scaled(float(n))
     within = result.error_estimate <= tol
     return dataclasses.replace(result, converged=result.converged and within)
 
@@ -66,7 +60,8 @@ def scaled_derivative_moment(n: int, tol: float = 1e-12) -> QuadratureResult:
 #: The four closed-form integrals of the density, as (name, formula,
 #: target, integrand, endpoint_weighted): plain, first moment, and the two
 #: endpoint-weighted forms, which are equal and whose integrands carry the
-#: endpoint limits explicitly.
+#: endpoint limits explicitly.  Each integrand is built once here, so
+#: integrate_moment tabulates it once per process, as power 0.
 DENSITY_IDENTITIES = (
     ("density-integral", "int density", E / 24.0, moment_density, False),
     ("density-first-moment", "int density * s", E / 48.0,
@@ -98,7 +93,7 @@ def density_identity_checks(
     checks = []
     for name, formula, target, integrand, endpoint_weighted in DENSITY_IDENTITIES:
         limit = tol_endpoint_weighted if endpoint_weighted else tol
-        result = integrate(integrand, engine_tol)
+        result = integrate_moment(integrand, 0, engine_tol)
         diff = result.value - target
         ok = result.converged and abs(diff) <= limit
         checks.append(

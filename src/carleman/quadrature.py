@@ -9,6 +9,12 @@ between consecutive levels, and convergence requires that change to stay
 within tolerance twice in a row, since a single small difference can be a
 plateau rather than the limit.
 
+`integrate` calls its integrand at every node of every call.  The moment
+integrals, a fixed density times a power of s, go through
+`integrate_moment` instead: the density's values at each level's nodes are
+tabulated once per process, so a call costs one power, one multiply and
+one add per node, and gives integrate()'s result bit for bit.
+
 Scope is deliberately [0,1] only; that is the only interval the rest of
 the package integrates over.
 """
@@ -37,6 +43,11 @@ class QuadratureResult:
     error_estimate: float
     levels_used: int
     converged: bool
+
+    @property
+    def evaluations(self) -> int:
+        """Integrand evaluations of levels 0..levels_used: two per node pair."""
+        return 2 * sum(len(_level_nodes(level)) for level in range(self.levels_used + 1))
 
     def scaled(self, factor: float, offset: float = 0.0) -> "QuadratureResult":
         """Result of the affine transform factor*value + offset."""
@@ -76,21 +87,68 @@ def _level_sum(func: Callable[[float], float], level: int) -> float:
     return total
 
 
+@functools.cache
+def _level_values(density: Callable[[float], float], level: int) -> tuple:
+    """(density(s_hi), density(s_lo)) at the node pairs new at `level`.
+
+    Built once per process for each density and level, like the nodes;
+    only module-level densities are passed, so the tables stay bounded.
+    """
+    values = []
+    for s_hi, s_lo, _ in _level_nodes(level):
+        f_hi, f_lo = density(s_hi), density(s_lo)
+        if not math.isfinite(f_hi + f_lo):
+            raise ValueError(f"density not finite near s={s_hi!r}/{s_lo!r}")
+        values.append((f_hi, f_lo))
+    return tuple(values)
+
+
+@functools.cache
+def _mirrored_nodes(level: int) -> tuple:
+    """_level_nodes(level) with each abscissa s replaced by 1.0 - s."""
+    return tuple((1.0 - s_hi, 1.0 - s_lo, weight) for s_hi, s_lo, weight in _level_nodes(level))
+
+
+def _moment_level_sum(density, power: int, mirror: bool, level: int) -> float:
+    nodes = _mirrored_nodes(level) if mirror else _level_nodes(level)
+    total = 0.0
+    for (s_hi, s_lo, weight), (f_hi, f_lo) in zip(nodes, _level_values(density, level)):
+        fs = f_hi * s_hi**power + f_lo * s_lo**power
+        total += weight * fs
+    return total
+
+
+def _converge(level_sum: Callable[[int], float], tol: float) -> QuadratureResult:
+    """Halve the step level by level until two differences in a row are within `tol`."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    value, error = level_sum(0), math.inf
+    for level in range(1, _MAX_LEVELS + 1):
+        previous, last = value, error
+        value = 0.5 * value + level_sum(level) / (1 << level)
+        error = abs(value - previous)
+        if level > _MIN_LEVELS and max(error, last) <= tol:
+            return QuadratureResult(value, error, level, True)
+    return QuadratureResult(value, error, _MAX_LEVELS, False)
+
+
 def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureResult:
     """Integrate func over [0,1] to the absolute tolerance `tol` > 0.
 
     Returns the best value together with the level-difference error
     estimate; `converged` is only set when two consecutive refinements
     stayed within `tol`.  Non-convergence is not an exception - the
-    caller decides.
+    caller decides.  func is called at every node of every call.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    value, error = _level_sum(func, 0), math.inf
-    for level in range(1, _MAX_LEVELS + 1):
-        previous, last = value, error
-        value = 0.5 * value + _level_sum(func, level) / (1 << level)
-        error = abs(value - previous)
-        if level > _MIN_LEVELS and max(error, last) <= tol:
-            return QuadratureResult(value, error, level, True)
-    return QuadratureResult(value, error, _MAX_LEVELS, False)
+    return _converge(functools.partial(_level_sum, func), tol)
+
+
+def integrate_moment(density: Callable[[float], float], power: int, tol: float = 1e-12,
+                     *, mirror: bool = False) -> QuadratureResult:
+    """integrate(lambda s: density(s) * s**power, tol), bit for bit, from tabulated densities.
+
+    With mirror=True the weight is (1.0 - s)**power instead.  `density`
+    must be a module-level function: its values at each level's nodes
+    are computed once per process, and only the powers per call.
+    """
+    return _converge(functools.partial(_moment_level_sum, density, power, mirror), tol)

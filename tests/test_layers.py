@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import carleman
 from carleman import CoefficientTable, Rational
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +40,17 @@ def test_entries_hashes_the_reduced_values_in_hex():
     assert layers.entries(old) == expected
     assert layers.entries(CoefficientTable.from_series_oracle(3)) == expected
     assert layers.entries(CoefficientTable.from_recurrence(4)) != expected
+
+
+def test_sizes_lists_every_layer_with_a_fingerprint(monkeypatch):
+    monkeypatch.setattr(layers, "CHECKS_N", 30)  # the checks' table, built eagerly
+    found = layers.sizes(carleman)
+    assert {"control", "from_recurrence_2000", "bound_check_30", "coefficient_by_moment_20",
+            "density_identity_checks", "run_verification", "carleman_demo_20_20000",
+            "refinement_factor_20_exact", "tail_bound_1e-06_1"} <= set(found)
+    call, fingerprint = found["coefficient_by_moment_20"]
+    assert fingerprint(call()) == f"{carleman.coefficient_by_moment(20).value.hex()} 5"
+    call, fingerprint = found["carleman_demo_1_2000"]
+    demo = carleman.carleman_demo(layers.demo_sequence(2000), 1,
+                                  CoefficientTable.from_recurrence(1))
+    assert fingerprint(call()) == demo.rhs.hex()

@@ -127,9 +127,9 @@ def test_scaled_estimate_decides_convergence():
 
 
 def test_unconverged_integral_is_not_converged_whatever_its_estimate(monkeypatch):
-    integrate = moments.integrate
-    monkeypatch.setattr(moments, "integrate", lambda func, tol: dataclasses.replace(
-        integrate(func, tol), converged=False))
+    integrate_moment = moments.integrate_moment
+    monkeypatch.setattr(moments, "integrate_moment", lambda *args: dataclasses.replace(
+        integrate_moment(*args), converged=False))
     result = scaled_derivative_moment(10)
     assert result.error_estimate <= 1e-12
     assert result.converged is False

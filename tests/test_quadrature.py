@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carleman import (
+    E,
     QuadratureResult,
     coefficient_by_moment,
     coefficient_by_parts,
     density_identity_checks,
     integrate,
+    moment_density,
+    moment_density_derivative,
     scaled_defect_by_quadrature,
     scaled_derivative_moment,
 )
-from carleman.quadrature import _level_nodes
+from carleman.moments import DENSITY_IDENTITIES
+from carleman.quadrature import _level_nodes, _level_values, integrate_moment
+
+#: Tolerances for the table path; at 1e-30 most integrals spend all 11 levels unconverged.
+TABLE_TOLS = (1e-10, 1e-12, 1e-15, 1e-30)
 
 
 def test_constant():
@@ -132,10 +139,71 @@ def test_scaled_result():
     assert out.converged
 
 
+def test_evaluations_are_two_per_node_pair_of_the_levels_used():
+    assert QuadratureResult(value=2.0, error_estimate=0.0, levels_used=5,
+                            converged=True).evaluations == 2 * 110
+    calls = []
+    result = integrate(lambda s: calls.append(s) or math.exp(s))
+    assert result.evaluations == len(calls) == 2 * 110
+    assert result.scaled(3.0).evaluations == result.evaluations
+    unconverged = integrate(lambda s: math.cos(7.0 * s), 1e-30)
+    assert unconverged.evaluations == 2 * 3495
+
+
+def fields(result):
+    return result.value.hex(), result.error_estimate.hex(), result.levels_used, result.converged
+
+
+@pytest.mark.parametrize("tol", TABLE_TOLS)
+def test_tabulated_moments_match_integrate_bit_for_bit(tol):
+    """Each moment integral equals integrate() on its integrand, built per call."""
+    for n in range(2, 201):
+        p = n - 2
+        plain = integrate(lambda s: moment_density(s) * s**p, tol).scaled(1.0 / E)
+        mirror = integrate(lambda s: moment_density(s) * (1.0 - s) ** p, tol).scaled(1.0 / E)
+        parts = integrate(lambda s: moment_density_derivative(s) * s ** (n - 1), tol)
+        assert fields(coefficient_by_moment(n, tol)) == fields(plain), n
+        assert fields(coefficient_by_moment(n, tol, mirror=True)) == fields(mirror), n
+        assert fields(coefficient_by_parts(n, tol)) == fields(parts.scaled(-1.0 / ((n - 1) * E)))
+    for n in (10, 50, 200, 10**17):
+        raw = integrate(lambda s: moment_density_derivative(s) * s**n, tol).scaled(float(n))
+        expected = (*fields(raw)[:3], raw.converged and raw.error_estimate <= tol)
+        assert fields(scaled_derivative_moment(n, tol)) == expected, n
+    for name, _, _, integrand, _ in DENSITY_IDENTITIES:
+        tabulated = integrate_moment(integrand, 0, tol)
+        assert fields(tabulated) == fields(integrate(integrand, tol)), name
+    if tol == 1e-30:
+        assert fields(coefficient_by_moment(200, tol))[2:] == (10, False)
+
+
+def test_tables_stay_bounded():
+    """One table per tabulated density and level, whatever the orders and tolerances."""
+    densities = {moment_density, moment_density_derivative,
+                 *(integrand for _, _, _, integrand, _ in DENSITY_IDENTITIES)}
+    for tol in TABLE_TOLS:
+        for n in (*range(2, 60), 200, 10**6, 10**17):
+            coefficient_by_moment(n, tol)
+            coefficient_by_moment(n, tol, mirror=True)
+            coefficient_by_parts(n, tol)
+            scaled_derivative_moment(n, tol)
+        density_identity_checks(tol)
+    assert _level_values.cache_info().currsize <= len(densities) * 11 == 55
+
+
+def test_non_finite_density_rejected_where_tabulated():
+    tables = _level_values.cache_info().currsize
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="density not finite"):
+            integrate_moment(lambda s, value=value: value, 3)
+    # a table that failed is not kept
+    assert _level_values.cache_info().currsize == tables
+
+
 def test_default_config():
     # the engine and every integral built on it default to tol 1e-12
     for func, name in (
         (integrate, "tol"),
+        (integrate_moment, "tol"),
         (coefficient_by_moment, "tol"),
         (coefficient_by_parts, "tol"),
         (scaled_derivative_moment, "tol"),

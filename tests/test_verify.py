@@ -196,7 +196,7 @@ def unconverged(func):
 
 def test_nonconvergence_fails_every_quadrature_check(monkeypatch):
     # verify reaches the integrator through moments and integrands alone
-    monkeypatch.setattr(moments, "integrate", unconverged(moments.integrate))
+    monkeypatch.setattr(moments, "integrate_moment", unconverged(moments.integrate_moment))
     monkeypatch.setattr(integrands, "integrate", unconverged(integrands.integrate))
     report = run_verification(max_n=10, quad_max=5)
     failed = [c.name for c in report.checks if c.status == FAIL]
