@@ -1,8 +1,8 @@
 """One-shot verification sweep over all the quantitative claims.
 
 The sweep runs every check the package knows how to perform: exact table
-properties (the two constructions agree, though they share _blocks,
-_sum_over_2_up and _append_reduced; positivity and the 1/(n(n+1)) cap;
+properties (the two constructions agree, though they share the segmented
+table kernels of coefficients.py; positivity and the 1/(n(n+1)) cap;
 strict decrease; the climbing-ratio trend), quadrature recovery of the
 coefficients from their integral representations, the closed-form density
 integrals, agreement of the two faces of the scaled defect function, the
@@ -170,7 +170,7 @@ def run_verification(
 
     A prebuilt (possibly deliberately corrupted) table may be passed in;
     its length then overrides max_n.  The series-oracle table (it shares
-    _blocks, _sum_over_2_up and _append_reduced) is always built fresh.
+    the segmented table kernels of coefficients.py) is always built fresh.
     """
     if table is not None:
         max_n = table.max_n

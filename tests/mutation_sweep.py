@@ -1,9 +1,10 @@
 """Mutation sweep: which `if` tests, statements and clauses of the package no test needs.
 
-    python tests/mutation_sweep.py
+    python tests/mutation_sweep.py [MODULE ...]
 
 The script copies the repository to a temporary directory and runs three
-sweeps over src/carleman/*.py (not __init__.py), one mutant at a time:
+sweeps over src/carleman/*.py (not __init__.py), or over the modules named,
+as in `python tests/mutation_sweep.py coefficients`, one mutant at a time:
 
 - the test of each `if` statement replaced by False;
 - each statement in a function body, docstrings and `pass` aside, replaced
@@ -116,15 +117,14 @@ def standing_failures(copy: Path) -> list:
     return sorted(json.loads(lastfailed.read_text())) if lastfailed.exists() else []
 
 
-def sweep(copy: Path, name: str, mutants, deselect: list) -> int:
-    """Run every mutant that mutants(tree) lists, print survivors, timeouts and counts.
+def sweep(copy: Path, modules: list, name: str, mutants, deselect: list) -> int:
+    """Run every mutant that mutants(tree) lists in modules, print survivors, timeouts and counts.
 
     Returns the number of mutants that timed out.
     """
     counts = {"killed": 0, "survived": 0, "timed out": 0}
-    for path in sorted((copy / "src" / "carleman").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for module in modules:
+        path = copy / "src" / "carleman" / f"{module}.py"
         source = path.read_bytes()
         lines = source.decode().splitlines()
         tree = ast.parse(source)
@@ -145,6 +145,12 @@ def sweep(copy: Path, name: str, mutants, deselect: list) -> int:
 
 
 def main() -> None:
+    package = ROOT / "src" / "carleman"
+    modules = sys.argv[1:] or sorted(
+        path.stem for path in package.glob("*.py") if path.name != "__init__.py")
+    unknown = [module for module in modules if not (package / f"{module}.py").is_file()]
+    if unknown:
+        sys.exit(f"no module {', '.join(unknown)} in src/carleman")
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -154,9 +160,9 @@ def main() -> None:
         deselect = [f"--deselect={node_id}" for node_id in failing]
         if tier1(copy, "-x", "-p", "no:cacheprovider", *deselect) != 0:
             sys.exit("the unmutated suite fails with its failing tests deselected")
-        timeouts = sweep(copy, "if tests set to False", if_tests, deselect)
-        timeouts += sweep(copy, "statements set to pass", body_statements, deselect)
-        timeouts += sweep(copy, "clauses", clauses, deselect)
+        timeouts = sweep(copy, modules, "if tests set to False", if_tests, deselect)
+        timeouts += sweep(copy, modules, "statements set to pass", body_statements, deselect)
+        timeouts += sweep(copy, modules, "clauses", clauses, deselect)
     if timeouts:
         sys.exit(1)
 

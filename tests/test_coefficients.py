@@ -20,7 +20,14 @@ from carleman import (
     oracle_equivalence_check,
     ratio_trend_check,
 )
-from carleman.coefficients import _blocks, _sum_over_2_up
+from carleman.coefficients import (
+    _SEGMENT,
+    _append_reduced,
+    _blocks,
+    _blocks_from,
+    _log_convex,
+    _sum_over_2_up,
+)
 from carleman.verify import E_HI
 
 # First twelve values, frozen.  The two exact constructions
@@ -253,14 +260,40 @@ def test_constructions_match_fraction_reference_at_300():
     assert_matches_reference(CoefficientTable.from_series_oracle(300), reference)
 
 
+def test_constructions_match_fraction_reference_around_segment_closings():
+    """Lengths on both sides of the first and second closing, and past a third.
+
+    The oracle's table holds F_0 as well, so its segments close one step
+    before the recurrence's.
+    """
+    lengths = [_SEGMENT - 2, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 2 * _SEGMENT,
+               2 * _SEGMENT + 1, 3 * _SEGMENT + 5]
+    reference = reference_recurrence(max(lengths))
+    for length in lengths:
+        assert_matches_reference(CoefficientTable.from_recurrence(length), reference[:length])
+        assert_matches_reference(CoefficientTable.from_series_oracle(length), reference[:length])
+
+
+def test_append_reduced_closes_full_segments_and_lifts_only_the_newest():
+    """A closed segment keeps its numerators; the newest one's lift takes every later m."""
+    closed, nums, den = [], list(range(1, _SEGMENT)), 7
+    nums, den = _append_reduced(closed, nums, den, 10, 3)  # m = 3: the open segment fills
+    assert closed == [] and nums == [3 * v for v in range(1, _SEGMENT)] + [10] and den == 21
+    full = nums
+    nums, den = _append_reduced(closed, nums, den, 4, 10)  # h = 2, m = 5: it closes
+    assert closed == [[[5 * v for v in full], 1]] and nums == [2] and den == 105
+    nums, den = _append_reduced(closed, nums, den, 1, 2)  # m = 2
+    assert closed == [[[5 * v for v in full], 2]] and nums == [4, 1] and den == 210
+
+
 @pytest.mark.parametrize("top", [2, 3, 42, 43, 44, 250, 2001])
 def test_blocks_tile_the_divisors_in_order(top):
     """Runs of 2..top with their lcm L below 2**60, each as long as that allows."""
     divisors = range(2, top + 1)
     start = 0
-    for lcm, weights in _blocks(top):
+    for first, lcm, weights in _blocks(top):
         run = divisors[start:start + len(weights)]
-        assert run and lcm == math.lcm(*run) < 2**60
+        assert run and run[0] == first and lcm == math.lcm(*run) < 2**60
         assert weights == [lcm // k for k in run]
         start += len(run)
         if start < len(divisors):
@@ -269,18 +302,33 @@ def test_blocks_tile_the_divisors_in_order(top):
 
 
 def test_sum_over_2_up_across_block_seams():
-    """The Fraction sum at every length around the first seams, over the lcms reached."""
-    blocks = _blocks(400)
-    seams = list(itertools.accumulate(len(weights) for _, weights in blocks))
+    """The Fraction sum at every length around the first seams, over the lcms reached.
+
+    Started at distance `start`, from _blocks_from, the sum runs over
+    divisors start + 2, start + 3, ...: mid-run, at a seam and one past it.
+    q is then the product of the lcms of the runs touched, the cut one's too.
+    """
+    blocks = _blocks(700)
+    seams = list(itertools.accumulate(len(weights) for _, _, weights in blocks))
     assert seams[0] == 41  # the first block is 2..42
-    lengths = {1, 2, 43} | {seam + d for seam in seams[:12] for d in (-1, 0, 1)}
     rng = random.Random(42)
-    for length in sorted(lengths):
+
+    def check(start, length):
         terms = [rng.randrange(-(2**300), 2**300) for _ in range(length)]
-        a, q = _sum_over_2_up(terms, blocks)
-        assert Fraction(a, q) == sum(Fraction(t, i + 2) for i, t in enumerate(reversed(terms)))
-        reached = next(i for i, seam in enumerate(seams, start=1) if seam >= length)
-        assert q == math.prod(lcm for lcm, _ in blocks[:reached]), length
+        a, q = _sum_over_2_up(terms, _blocks_from(blocks, start) if start else blocks)
+        assert Fraction(a, q) == sum(
+            Fraction(t, start + i + 2) for i, t in enumerate(reversed(terms))
+        ), (start, length)
+        touched = [lcm for first, lcm, weights in blocks
+                   if first <= start + length + 1 and start + 2 < first + len(weights)]
+        assert q == math.prod(touched), (start, length)
+
+    for length in sorted({1, 2, 43} | {seam + d for seam in seams[:12] for d in (-1, 0, 1)}):
+        check(0, length)
+    # distance seams[j] - 1 is the last divisor of run j, and distance seams[j] the first of the next
+    for start in (5, 40, seams[3] - 2, seams[3] - 1, seams[3], seams[3] + 1, seams[20] + 2):
+        for length in (1, 2, 7, 8, 9, _SEGMENT, 200):
+            check(start, length)
 
 
 @pytest.mark.parametrize("fault", [2, 3, 57, 199, 200])
@@ -313,3 +361,62 @@ def test_oracle_equivalence_across_denominators():
     check = oracle_equivalence_check(short, long)
     assert check.status == PASS and check.values["compared_n"] == 10
     assert oracle_equivalence_check(corrupted_table(short, 4), long).values["mismatches"] == [4]
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+class NoFullProduct(int):
+    """An int whose own products fail: _log_convex must decide it from leading parts."""
+
+    def __mul__(self, other):
+        raise AssertionError("full product taken")
+
+    __rmul__ = __mul__
+
+
+def test_log_convex_screen_matches_fraction_comparison():
+    """Triples above 64 bits where the leading parts cannot decide, and the edge values.
+
+    Cassini's identity F_{n-1} F_{n+1} - F_n**2 = (-1)**n gives a*c = b**2 + 1
+    at even n and b**2 - 1 at odd n.
+    """
+    rng = random.Random(26)
+    x, y, z = (rng.randrange(2**70, 2**90) for _ in range(3))
+    big = rng.randrange(2**200, 2**201)
+    triples = [
+        (x * y * y, x * y * z, x * z * z),  # a*c == b**2: not increasing
+        (big, big, big),
+        (fibonacci(299), fibonacci(300), fibonacci(301)),  # b**2 + 1
+        (fibonacci(300), fibonacci(301), fibonacci(302)),  # b**2 - 1
+        (0, big, big), (big, 0, big), (big, big, 0), (0, 0, 0), (1, 0, 1),
+        (-big, big, big), (-big, -big, -big), (-1, 0, -1), (big, -big, big),
+    ]
+    assert fibonacci(299) * fibonacci(301) == fibonacci(300) ** 2 + 1
+    for a, b, c in triples:
+        assert _log_convex(a, b, c) == (Fraction(a) * c > Fraction(b) ** 2), (a, b, c)
+    assert [_log_convex(*t) for t in triples[:4]] == [False, False, True, False]
+
+
+def test_log_convex_screen_decides_clear_cases_from_leading_parts():
+    rng = random.Random(27)
+    for bits in (1, 63, 64, 65, 300, 5000):
+        b = rng.randrange(2**bits, 2**(bits + 1))
+        up, down = (b + b // 64 + 2, b, b + b // 64 + 2), (b - b // 64 - 1, b, b - b // 64 - 1)
+        assert _log_convex(*map(NoFullProduct, up)) is True
+        assert _log_convex(*map(NoFullProduct, down)) is False
+
+
+def test_ratio_trend_on_cassini_numerators():
+    """Consecutive Fibonacci numbers have a*c = b**2 +- 1: every triple passes the screen to full products."""
+    nums = tuple(fibonacci(n) for n in range(400, 300, -1))  # decreasing; c_{n+1}/c_n < 1
+    check = ratio_trend_check(CoefficientTable(nums, fibonacci(401)))
+    c = [None, *(Fraction(v) for v in nums)]
+    expected = [n for n in range(2, 99) if not c[n] * c[n + 2] > c[n + 1] ** 2]
+    assert expected and len(expected) < 97
+    assert check.status == FAIL
+    assert check.detail == f"below_one=True, non-increasing at n={expected[:10]}"
