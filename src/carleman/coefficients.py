@@ -238,6 +238,8 @@ def _sum_over_2_up(terms: list, blocks) -> tuple:
         left -= len(weights)
         if left <= 0:
             break
+    if len(parts) == 1:  # every step of a table within the first run, 2..42
+        return parts[0]
     for _ in range((len(parts) - 1).bit_length()):
         pairs = iter(parts)
         merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(pairs, pairs)]
