@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from dataclasses import dataclass
 
 from .rational import Rational
@@ -213,8 +213,7 @@ def _blocks(top: int) -> list:
 
 def _blocks_from(blocks: list, start: int):
     """The runs of _blocks from divisor start + 2 on: the run holding it, cut there, then the rest."""
-    # the last run with k0 <= start + 2, as every (k0, L) sorts below (k0, 2**60)
-    index = bisect.bisect_right(blocks, (start + 2, 2**60)) - 1
+    index = bisect.bisect_right(blocks, start + 2, key=itemgetter(0)) - 1
     first, lcm, weights = blocks[index]
     cut = (start + 2, lcm, weights[start + 2 - first:])
     return itertools.chain((cut,), itertools.islice(blocks, index + 1, None))
