@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -23,6 +24,8 @@ from typing import Optional, Sequence
 from .coefficients import CoefficientTable
 from .integrands import E, compound_power
 from .rational import Rational, _quoted, is_exact
+
+_E_UP = math.nextafter(E, math.inf)  # E itself lies below e
 
 
 @dataclass(frozen=True)
@@ -130,31 +133,62 @@ def truncation_gap(x, terms: int, table: CoefficientTable) -> float:
 
 
 def tail_bound(x, terms: int) -> float:
-    """Upper bound e * sum_{k>m} 1/(k(k+1)(x+1)**k) on the overshoot.
+    """Upper bound e * sum_{k>m} u**k/(k(k+1)) on the overshoot, u = 1/(x+1), in O(m) work.
 
-    Summed directly (the ratio u = 1/(x+1) is below 1) over the loop's
-    range of 100000 terms, or fewer once the analytic remainder
-    u**(k+1)/(k+1) after term k is below 1e-18 of the sum or below 1e-300.
-    That remainder is folded in on every exit, so the returned value never
-    undershoots the true sum.  Where every term underflows, as at x = 1
-    with terms = 2000, the first u**(m+1)/((m+1)(m+2)) is at most 2**-1075
-    up to one rounding, so the tail is below 1.82 * 2**-1074 / (1 - u),
-    and 3 * 2**-1074 / (1 - u) is returned instead of 0.0.
+    u is rounded up (the tail grows with u) by a relative 2**-50, above
+    the three roundings of 1/(float(x) + 1), and capped at 1, and e by
+    one ulp.  Each +, -, * and / then errs by at most 2**-53 relative,
+    and * and / by 2**-1075 more where the result underflows (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 2-4); libm's
+    pow and log1p are assumed to err by at most one ulp.
+
+    - x < 1 and (1 - u)(m+1) <= 4: the closed form
+      sum_{k>=1} u**k/(k(k+1)) = 1 + (1/u - 1) log1p(-u), less the m-term
+      head (running powers, math.fsum).  Together they err by at most
+      2**-51 (|log1p(-u)| + 2), so (2 - log1p(-u)) 2**-50 is added, and
+      the last four roundings are covered by a factor 1 + 2**-50.
+    - otherwise the series from k = m+1, up to the first term with
+      term * u/(1 - u) below 2**-60 of the sum, plus the geometric
+      remainder u**(k+1)/((k+1)(k+2)(1 - u)) after it: within 62 terms
+      when x >= 1, and within 16(m+1) when (1 - u)(m+1) > 4, since
+      u**j <= exp(-j(1 - u)).  Over n terms no value passes through more
+      than 2n + 9 roundings, and 1 + (n + 4) 2**-51 exceeds
+      1/(1 - gamma_{2n+9}); (n + 4) 2**-1072 covers e times the
+      underflow errors, which do not shrink with the sum.
+
+    Where every term underflows, as at x = 1 with terms = 2000, the
+    first u**(m+1)/((m+1)(m+2)) is at most 2**-1075 up to one rounding,
+    so the tail is below 1.82 * 2**-1074 / (1 - u), and
+    3 * 2**-1074 / (1 - u) is returned instead of 0.0.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if not x > 0:
         raise ValueError("x must be positive")
-    u = 1.0 / (float(x) + 1.0)
-    power = u ** (terms + 1)
+    x = float(x)
+    m = terms
+    u = min(1.0 / (x + 1.0) * (1.0 + 2**-50), 1.0)
+    if x < 1.0 and (1.0 - u) * (m + 1) <= 4.0:
+        log = math.log1p(-u) if u < 1.0 else 0.0
+        powers = itertools.accumulate(itertools.repeat(u, m - 1), operator.mul, initial=u)
+        head = math.fsum(map(operator.truediv, powers,
+                             map(operator.mul, range(1, m + 1), range(2, m + 2))))
+        whole = 1.0 + (1.0 / u - 1.0) * log
+        return _E_UP * (whole - head + (2.0 - log) * 2**-50) * (1.0 + 2**-50)
+    power = u ** (m + 1)
+    if not power / ((m + 1) * (m + 2)):
+        return 3 * math.ulp(0.0) / (1.0 - u)
+    small = 2**-60 * (1.0 - u) / u
     total = 0.0
-    for k in range(terms + 1, terms + 100_001):
-        total += power / (k * (k + 1))
+    for k in range(m + 1, 17 * m + 81):
+        term = power / (k * (k + 1))
+        total += term
         power *= u
-        remainder = power / (k + 1)
-        if remainder <= 1e-18 * total or remainder < 1e-300:
+        if term < small * total:
             break
-    return E * (total + remainder) or 3 * math.ulp(0.0) / (1.0 - u)
+    rest = power / ((k + 1) * (k + 2) * (1.0 - u))
+    slack = k - m + 4
+    return _E_UP * (total + rest) * (1.0 + slack * 2**-51) + slack * 2**-1072
 
 
 @dataclass(frozen=True)
@@ -194,15 +228,19 @@ def carleman_demo(seq: Sequence[float], terms: int, table: CoefficientTable) -> 
     """
     if not seq:
         raise ValueError("sequence is empty")
-    values = [float(a) for a in seq]
-    if not all(0.0 <= a < math.inf for a in values):
+    values = list(map(float, seq))
+    # min() passes over a NaN that follows a number, but the sum does not; only a
+    # sum that overflows needs the scan
+    if not (min(values) >= 0.0
+            and (math.isfinite(sum(values)) or all(a < math.inf for a in values))):
         raise ValueError("sequence entries must be finite and nonnegative")
-    if all(a == 0 for a in values):
+    if not any(values):
         raise ValueError("sequence must not be all zero")
     nums = _leading_numerators(terms, table)
     top = 1.0
     lhs, rhs = _demo_sums(values, nums, table.denominator, top)
-    if not math.isfinite(lhs + rhs) or any(0.0 < a < sys.float_info.min for a in values):
+    if (not math.isfinite(lhs + rhs)
+            or min(filter(None, values), default=math.inf) < sys.float_info.min):
         top = max(values)
         lhs, rhs = _demo_sums(values, nums, table.denominator, top)
     return DemoReport(len(values), terms, top * lhs, top * rhs, lhs / rhs, lhs < rhs)

@@ -8,6 +8,8 @@ results to their own tolerances.
 
 import math
 import random
+import timeit
+from fractions import Fraction
 
 import pytest
 
@@ -121,3 +123,45 @@ def test_tail_bound_where_every_term_underflows(m):
         u_mp = 1 / (mpmath.mpf(x) + 1)
         tail = mp.e * mpmath.nsum(lambda k: u_mp**k / (k * (k + 1)), [m + 1, mpmath.inf])
         assert tail < tail_bound(x, m), x
+
+
+def lerch_phi(u, a):
+    """The Lerch transcendent Phi(u, 1, a) = sum_{k>=0} u**k/(a+k), as (1/a) 2F1(1, a; a+1; u).
+
+    mpmath.lerchphi gives the same through a quadrature: 0.2 to 1.5 s a
+    call at 80 digits, and off by 6e-9 relative at u = 6.5e-162.
+    """
+    return mpmath.hyp2f1(1, a, a + 1, u) / a
+
+
+def tail_grid():
+    """(x, m) pairs: x log-uniform in [1e-3, 1e6], exact inputs, and the subnormal band at m = 1."""
+    rng = random.Random(27)
+    grid = [(10 ** rng.uniform(-3, 6), m) for m in (1, 6, 20, 2000) for _ in range(12)]
+    grid += [(x, m) for x in (Fraction(1, 3), 10**20 + 1) for m in (1, 6, 20, 2000)]
+    return grid + [(1.5e161 * 2 ** (-step / 2), 1) for step in range(-1, 24, 4)]
+
+
+def test_lerch_phi_matches_mpmath_lerchphi():
+    with mpmath.workdps(80):
+        for u, a in ((1 / mpmath.mpf(3.5), 7), (1 / mpmath.mpf(1.001), 21)):
+            assert abs(lerch_phi(u, a) / mpmath.lerchphi(u, 1, a) - 1) < mpmath.mpf(10) ** -40
+
+
+def test_tail_bound_against_80_digits():
+    """e u**(m+1) (Phi(u, 1, m+1) - Phi(u, 1, m+2)) at the exact x, u = 1/(x+1), against tail_bound.
+
+    The bound is never below the tail, and where the tail is at least
+    2**-1000 it is at most 1e-8 relatively above it; no call takes 5 ms.
+    """
+    floor = mpmath.mpf(2) ** -1000
+    for x, m in tail_grid():
+        with mpmath.workdps(80):
+            exact = Fraction(x)
+            u = mpmath.mpf(exact.denominator) / (exact.numerator + exact.denominator)
+            tail = mp.e * u ** (m + 1) * (lerch_phi(u, m + 1) - lerch_phi(u, m + 2))
+            bound = tail_bound(x, m)
+            assert tail <= bound, (x, m)
+            if tail >= floor:
+                assert bound <= tail * (1 + mpmath.mpf("1e-8")), (x, m)
+        assert min(timeit.repeat(lambda: tail_bound(x, m), number=1, repeat=3)) < 5e-3, (x, m)

@@ -18,7 +18,7 @@ from carleman import (
     tail_bound,
     truncation_gap,
 )
-from carleman.verify import E_LO
+from carleman.verify import E_HI, E_LO
 
 # nothing here needs deep indices; 60 terms cover every m used below
 TABLE = CoefficientTable.from_recurrence(60)
@@ -144,25 +144,33 @@ def test_tail_bound_closed_form_at_x_one():
 
 
 def test_tail_bound_never_undershoots_at_term_cap():
-    """At x = 1e-6 the ratio u is so close to 1 that the 100000-term cap ends the sum."""
+    """At x = 1e-6, m = 1 the closed form gives the bound, with its margin above the tail."""
     u = 1.0 / (1e-6 + 1.0)
     closed = E * (1.0 + (1.0 / u - 1.0) * math.log1p(-u) - u / 2.0)
     assert tail_bound(1e-6, 1) >= closed
 
 
 @pytest.mark.parametrize("x, m, expected", [
-    (2.5, 6, "0x1.46376be7cf159p-17"),  # remainder below 1e-18 of the sum
-    (1, 960, "0x1.89d47d652f922p-979"),  # remainder below 1e-300
-    (1e-6, 1, "0x1.5bee9c91d541ap+0"),  # the 100000 terms of the range
+    (2.5, 6, "0x1.46376be7cf1dcp-17"),  # x >= 1: the series to its relative exit
+    (0.5, 20, "0x1.9830a9c824b1ap-19"),  # x < 1, (1 - u)(m+1) = 7: the series
+    (0.001, 20, "0x1.e29d50f777b35p-4"),  # x < 1, (1 - u)(m+1) = 0.021: the closed form
     (1, 2000, "0x0.0000000000006p-1022"),  # every term underflows
-], ids=["relative", "absolute", "cap", "underflow"])
+], ids=["relative", "series-below-1", "closed-form", "underflow"])
 def test_tail_bound_each_exit_bit_for_bit(x, m, expected):
-    """One point per way the sum stops, each pinned to its last bit.
-
-    At (1, 960) summing on to the cap instead of stopping at 1e-300 gives
-    0x1.89d3c944a7534p-979, so this point fails if the exit test is lost.
-    """
+    """One point per branch of tail_bound, each pinned to its last bit."""
     assert tail_bound(x, m).hex() == expected
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-17])
+def test_tail_bound_where_u_rounds_up_to_one(x):
+    """u = 1/(x+1) rounded up is 1, whose tail sum_{k>m} 1/(k(k+1)) is 1/(m+1).
+
+    The bound holds e/(m+1) (E_HI lies above e), and at most a part in
+    10**8 more, the tightness that the mpmath grid asks of every tail.
+    """
+    for m in (1, 6, 20, 2000):
+        scaled = Fraction(tail_bound(x, m)) * (m + 1)
+        assert E_HI <= scaled <= E_HI * (1 + Fraction(1, 10**8)), (x, m)
 
 
 def test_weight_at_large_x():
@@ -269,9 +277,16 @@ def test_demo_that_fails():
 
 
 def test_demo_refuses_entries_that_are_not_finite():
-    for seq in ([math.nan, 1.0], [1.0, math.inf], [-math.inf]):
+    # min() passes over a NaN after a positive entry, and the sum of 1e308 twice overflows
+    for seq in ([math.nan, 1.0], [1.0, math.nan], [1.0, math.inf], [-math.inf], [1e308, -1.0]):
         with pytest.raises(ValueError, match="sequence entries must be finite and nonnegative"):
             carleman_demo(seq, 6, TABLE)
+
+
+def test_demo_accepts_entries_whose_sum_overflows():
+    report = carleman_demo([1e308, 1e308], 6, TABLE)
+    assert report.lhs == report.rhs == math.inf
+    assert report.holds and 0.0 < report.ratio < 1.0
 
 
 def test_demo_report_fields():
