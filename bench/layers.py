@@ -46,7 +46,7 @@ BUILDS = (20, 200, 600, 1001, 2000)
 CHECKS_N = 1001
 DEMOS = ((1, 2_000), (6, 20_000), (20, 20_000))
 FACTOR_TERMS = 20
-TAILS = ((0.001, 20), (2.5, 6), (1e-6, 1))
+TAILS = ((0.001, 20), (2.5, 6), (1e-6, 1), (0.1, 20), (0.001, 2000))
 
 
 def load(src):
@@ -117,6 +117,14 @@ def sizes(pkg) -> dict:
     return found
 
 
+def label(src) -> str:
+    """The commit of src, marked -dirty only when git lists a changed or new file under src."""
+    git = ["git", "-C", str(src)]
+    commit = subprocess.check_output(git + ["describe", "--always", "--abbrev=7"], text=True)
+    changed = subprocess.check_output(git + ["status", "--porcelain", "--", "."], text=True)
+    return commit.strip() + ("-dirty" if changed else "")
+
+
 def spread(first: list, other: list) -> dict:
     """The ratios first/other of the times round by round, with their median and extremes."""
     per_repeat = [float(f"{a / b:.4g}") for a, b in zip(first, other)]
@@ -152,9 +160,8 @@ def main() -> None:
     doc = {"harness": "bench/layers.py", "repeats": REPEATS, "sample_s": SAMPLE_S,
            "cpu_count": os.cpu_count(), "runs": []}
     for side, (src, pkg) in enumerate(zip(args.src, packages)):
-        describe = ["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=7"]
         run = {
-            "commit": subprocess.check_output(describe, text=True).strip(),
+            "commit": label(src),
             "python": platform.python_version(),
             "carrier": f"{pkg.Rational.__module__}.{pkg.Rational.__qualname__}",
             "best_s": {name: float(f"{min(t):.4g}") for name, t in times[side].items()},

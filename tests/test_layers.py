@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,3 +55,18 @@ def test_sizes_lists_every_layer_with_a_fingerprint(monkeypatch):
     demo = carleman.carleman_demo(layers.demo_sequence(2000), 1,
                                   CoefficientTable.from_recurrence(1))
     assert fingerprint(call()) == demo.rhs.hex()
+
+
+def test_label_marks_only_an_edit_under_the_timed_src(tmp_path):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("a = 1\n")
+    (tmp_path / "README.md").write_text("notes\n")
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    commit = subprocess.check_output(git + ["rev-parse", "--short=7", "HEAD"], text=True).strip()
+    (tmp_path / "README.md").write_text("edited\n")
+    assert layers.label(tmp_path / "src") == commit
+    (tmp_path / "src" / "b.py").write_text("b = 2\n")
+    assert layers.label(tmp_path / "src") == commit + "-dirty"
