@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,10 @@ def test_tail_bound_validation():
         tail_bound(1.0, 0)
 
 
+def test_tail_bound_reads_any_real_through_float():
+    assert tail_bound(Decimal("2.5"), 6) == tail_bound(2.5, 6) == tail_bound(Fraction(5, 2), 6)
+
+
 def test_overshoot_under_tail_bound_as_terms_grow():
     # the m=40 pair sits at the floor of double precision but stays
     # decidable: bound ~1.4e-15 vs computed gap under half that
@@ -248,7 +253,7 @@ def test_demo_weights_are_refinement_factor_floats(terms):
 
 
 def test_demo_validation():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^sequence is empty$"):
         carleman_demo([], 6, TABLE)
     with pytest.raises(ValueError):
         carleman_demo([1.0, -2.0], 6, TABLE)
