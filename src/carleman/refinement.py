@@ -151,7 +151,8 @@ def tail_bound(x, terms: int) -> float:
       term * u/(1 - u) below 2**-60 of the sum, plus the geometric
       remainder u**(k+1)/((k+1)(k+2)(1 - u)) after it: within 62 terms
       when x >= 1, and within 16(m+1) when (1 - u)(m+1) > 4, since
-      u**j <= exp(-j(1 - u)).  Over n terms no value passes through more
+      u**j <= exp(-j(1 - u)); the loop's range, 16(m+1) + 64 terms,
+      holds either.  Over n terms no value passes through more
       than 2n + 9 roundings, and 1 + (n + 4) 2**-51 exceeds
       1/(1 - gamma_{2n+9}); (n + 4) 2**-1072 covers e times the
       underflow errors, which do not shrink with the sum.
