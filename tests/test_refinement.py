@@ -282,7 +282,7 @@ def test_demo_that_fails():
 
 
 def test_demo_refuses_entries_that_are_not_finite():
-    # min() passes over a NaN after a positive entry, and the sum of 1e308 twice overflows
+    # min() passes over a NaN that follows a number, so the sum has to catch [1.0, nan]
     for seq in ([math.nan, 1.0], [1.0, math.nan], [1.0, math.inf], [-math.inf], [1e308, -1.0]):
         with pytest.raises(ValueError, match="sequence entries must be finite and nonnegative"):
             carleman_demo(seq, 6, TABLE)
