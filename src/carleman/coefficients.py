@@ -11,9 +11,9 @@ equivalently by the recurrence
 
 and as the Taylor coefficients of 1 - exp(-sum_k t**k/(k(k+1)))
 (substitute t = 1/(x+1) and expand (1 - 1/t)*log(1-t)).  Both exact routes
-build on one segmented table, whose finished segments are never rescaled
-(_append_reduced, _add_closed, _lifted), and share the step sum over lcm
-blocks (_blocks, _blocks_from, _sum_over_2_up); they must agree bit for bit.
+run in one loop, _build, on a segmented table whose finished segments are
+never rescaled, and share the step sum over lcm blocks (_blocks,
+_blocks_from, _sum_over_2_up); they must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -78,23 +78,12 @@ class CoefficientTable:
 
         With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q a product of
         the lcms of _blocks, not n!), step n has c_n = X / (q*D) for the
-        integers X = D*Q - (n+1)*A and q = n*(n+1)*Q; _append_reduced adds
-        its reduced form to the table, which no choice of Q changes.  The
-        table is held in segments: _sum_over_2_up sums the open one and
-        _add_closed the closed ones, and _lifted brings all to D at the end.
+        integers X = D*Q - (n+1)*A and q = n*(n+1)*Q; _build keeps its
+        reduced form, which no choice of Q changes.
         """
-        if max_n < 1:
-            raise ValueError("max_n must be >= 1")
-        blocks = _blocks(max_n + 1)
-        closed, nums, den = [], [1], 2
-        for n in range(2, max_n + 1):
-            # sum_{k=0}^{n-2} c_{n-k-1}/(k+2): N_{n-1}, N_{n-2}, ... over 2, 3, ...
-            a, q = _sum_over_2_up(nums, blocks)
-            if closed:
-                a, q = _add_closed(closed, blocks, len(nums), a, q)
-            x = den * q - (n + 1) * a
-            nums, den = _append_reduced(closed, nums, den, x, q * (n * (n + 1)))
-        return cls(numerators=_lifted(closed, nums), denominator=den)
+        nums, den = _build(max_n, 2, [1], 2,
+                           lambda n, d, a, q: (d * q - (n + 1) * a, n * (n + 1) * q))
+        return cls(numerators=nums, denominator=den)
 
     @classmethod
     def from_series_oracle(cls, max_n: int) -> "CoefficientTable":
@@ -105,29 +94,17 @@ class CoefficientTable:
         recurrence for exp of a series with zero constant term:
         n*E_n = sum_{k=1}^n (k*a_k)*E_{n-k}, here k*a_k = -1/(k+1).
         The E_j are kept as integers F_j over the least shared D (F_0 = D):
-        with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D), added by
-        _append_reduced.
+        with sum_k F_{n-k}/(k+1) = A/Q, E_n = -A / (n*Q*D).
 
         This is not independent of from_recurrence: its step is the
         recurrence's step with the 1/(n+1) term carried inside the sum as
-        F_0 = D, and both builders share _blocks, _blocks_from,
-        _sum_over_2_up, _add_closed, _append_reduced and _lifted.
-        oracle_equivalence_check therefore tests the two step formulas; only
-        the Fraction reference in tests/test_coefficients.py tests the
-        shared kernels.
+        F_0 = D, and both builders run in _build, on the kernels _blocks,
+        _blocks_from and _sum_over_2_up.  oracle_equivalence_check therefore
+        tests the two step formulas; only the Fraction reference in
+        tests/test_coefficients.py tests the shared loop and kernels.
         """
-        if max_n < 1:
-            raise ValueError("max_n must be >= 1")
-        blocks = _blocks(max_n + 1)
-        closed, exp_nums, den = [], [1], 1
-        for n in range(1, max_n + 1):
-            # F_{n-1}, F_{n-2}, ..., F_0 meet 1/2, 1/3, ..., 1/(n+1)
-            a, q = _sum_over_2_up(exp_nums, blocks)
-            if closed:
-                a, q = _add_closed(closed, blocks, len(exp_nums), a, q)
-            exp_nums, den = _append_reduced(closed, exp_nums, den, -a, n * q)
-        return cls(numerators=tuple(map(neg, _lifted(closed, exp_nums)[1:])),
-                   denominator=den)
+        exp_nums, den = _build(max_n, 1, [1], 1, lambda n, d, a, q: (-a, n * q))
+        return cls(numerators=tuple(map(neg, exp_nums[1:])), denominator=den)
 
 
 # A table under construction is a list `closed` of finished segments, oldest
@@ -141,54 +118,54 @@ class CoefficientTable:
 # over D.  A step's m multiplies the open numerators and the newest lift, so
 # it multiplies every numerator over D, as a table rescaled at every step
 # would: the integers over D are that table's, and D stays least for the
-# reason _append_reduced gives.
+# reason _build gives.
 _SEGMENT = 96  # 64 to 128 build about as fast
 
 
-def _append_reduced(closed: list, nums: list, den: int, x: int, q: int) -> tuple:
-    """(nums', den') after appending the entry x / (q*den) to the table.
+def _build(max_n: int, first: int, nums: list, den: int, step) -> tuple:
+    """(numerators, D) of the table nums/den grown by steps first..max_n, oldest first.
 
-    With h = gcd(x, q) and m = q/h the entry is (x/h) / (m*den): the open
-    numerators and the newest lift are multiplied by m and x/h is appended,
-    after the open segment closes if it is full.  As gcd(x/h, m) = 1, a
-    prime dividing den*m and every new numerator divides den and every old
-    one, so a least den stays least.
+    Each step sums the table, newest entry over 2, the next over 3, and so
+    on: _sum_over_2_up takes the open segment, and each closed segment is
+    summed from its newest entry's divisor on while one Horner pass lifts
+    the partial sums from each D_c to the next and adds the open segment's
+    sum, so Q is the product of the segments' Q.  step(n, D, A, Q) gives
+    the integers (x, q) of the new entry x / (q*D).  With h = gcd(x, q) and
+    m = q/h it is (x/h) / (m*D): the open numerators and the newest lift
+    are multiplied by m and x/h is appended, after the open segment closes
+    if it is full.  As gcd(x/h, m) = 1, a prime dividing D*m and every new
+    numerator divides D and every old one, so a least D stays least.  At
+    the end one pass lifts each closed segment to the final D.
     """
-    h = math.gcd(x, q)
-    m = q // h
-    nums = [v * m for v in nums]
-    if closed:
-        closed[-1][1] *= m
-    if len(nums) == _SEGMENT:
-        closed.append([nums, 1])
-        nums = []
-    nums.append(x // h)
-    return nums, den * m
-
-
-def _add_closed(closed: list, blocks: list, start: int, a_open: int, q_open: int) -> tuple:
-    """(A, Q) with A/Q the step sum over the whole table, from the open segment's a_open/q_open.
-
-    start is the open segment's length.  Each closed segment gets one
-    _sum_over_2_up from its newest entry's divisor on, and one Horner pass
-    lifts the partial sums from each D_c to the next and then adds the
-    open segment's sum: Q is the product of the segments' Q.
-    """
-    a, q, start = 0, 1, start + _SEGMENT * len(closed)
-    for nums, lift in closed:
-        start -= _SEGMENT
-        b, p = _sum_over_2_up(nums, _blocks_from(blocks, start))
-        a, q = (a * p + b * q) * lift, q * p
-    return a * q_open + a_open * q, q * q_open
-
-
-def _lifted(closed: list, nums: list) -> tuple:
-    """Every numerator over the final D, oldest first: one pass lifts each closed segment."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    blocks = _blocks(max_n + 1)
+    closed = []
+    for n in range(first, max_n + 1):
+        a, q = _sum_over_2_up(nums, blocks)
+        if closed:
+            b, p, start = 0, 1, len(nums) + _SEGMENT * len(closed)
+            for segment, lift in closed:
+                start -= _SEGMENT
+                c, r = _sum_over_2_up(segment, _blocks_from(blocks, start))
+                b, p = (b * r + c * p) * lift, p * r
+            a, q = b * q + a * p, p * q
+        x, q = step(n, den, a, q)
+        h = math.gcd(x, q)
+        m = q // h
+        nums = [v * m for v in nums]
+        if closed:
+            closed[-1][1] *= m
+        if len(nums) == _SEGMENT:
+            closed.append([nums, 1])
+            nums = []
+        nums.append(x // h)
+        den *= m
     lift = 1
-    for segment, step in reversed(closed):
-        lift *= step
+    for segment, m in reversed(closed):
+        lift *= m
         nums = [v * lift for v in segment] + nums
-    return tuple(nums)
+    return tuple(nums), den
 
 
 def _blocks(top: int) -> list:

@@ -22,9 +22,9 @@ from carleman import (
 )
 from carleman.coefficients import (
     _SEGMENT,
-    _append_reduced,
     _blocks,
     _blocks_from,
+    _build,
     _log_convex,
     _sum_over_2_up,
 )
@@ -75,10 +75,10 @@ def test_single_entry_tables():
 
 
 def test_rejects_nonpositive_max_n():
-    with pytest.raises(ValueError):
-        CoefficientTable.from_recurrence(0)
-    with pytest.raises(ValueError):
-        CoefficientTable.from_series_oracle(0)
+    for build in (CoefficientTable.from_recurrence, CoefficientTable.from_series_oracle):
+        for max_n in (0, -1):
+            with pytest.raises(ValueError, match="max_n must be >= 1"):
+                build(max_n)
 
 
 def test_value_range_errors(table200):
@@ -274,16 +274,31 @@ def test_constructions_match_fraction_reference_around_segment_closings():
         assert_matches_reference(CoefficientTable.from_series_oracle(length), reference[:length])
 
 
-def test_append_reduced_closes_full_segments_and_lifts_only_the_newest():
-    """A closed segment keeps its numerators; the newest one's lift takes every later m."""
-    closed, nums, den = [], list(range(1, _SEGMENT)), 7
-    nums, den = _append_reduced(closed, nums, den, 10, 3)  # m = 3: the open segment fills
-    assert closed == [] and nums == [3 * v for v in range(1, _SEGMENT)] + [10] and den == 21
-    full = nums
-    nums, den = _append_reduced(closed, nums, den, 4, 10)  # h = 2, m = 5: it closes
-    assert closed == [[[5 * v for v in full], 1]] and nums == [2] and den == 105
-    nums, den = _append_reduced(closed, nums, den, 1, 2)  # m = 2
-    assert closed == [[[5 * v for v in full], 2]] and nums == [4, 1] and den == 210
+def test_build_sums_the_whole_table_across_segment_closings():
+    """Every step is given the sum over all entries so far, past two closings.
+
+    The step records each (D, A, Q) and returns seeded small (x, q), so the
+    entries are known as Fractions: A/(Q*D) must be sum_i entry[-1-i]/(i+2),
+    D their least common denominator, and the result their numerators over
+    it, which is what the closed segments' sums and lifts have to keep.
+    """
+    rng = random.Random(28)
+    entries, seen = [Fraction(3, 5)], []
+
+    def step(n, d, a, q):
+        seen.append(n)
+        assert d == math.lcm(*(e.denominator for e in entries))
+        assert Fraction(a, q * d) == sum(e / (i + 2) for i, e in enumerate(reversed(entries)))
+        x, r = rng.randrange(-40, 41), rng.randrange(1, 31)
+        entries.append(Fraction(x, r * d))
+        return x, r
+
+    max_n = 2 * _SEGMENT + 5
+    nums, den = _build(max_n, 2, [3], 5, step)
+    assert seen == list(range(2, max_n + 1)) and len(entries) == max_n
+    assert den == math.lcm(*(e.denominator for e in entries))
+    assert nums == tuple(e.numerator * (den // e.denominator) for e in entries)
+    assert math.gcd(den, *nums) == 1
 
 
 @pytest.mark.parametrize("top", [2, 3, 42, 43, 44, 250, 2001])
