@@ -127,8 +127,8 @@ def _build(max_n: int, first: int, nums: list, den: int, step) -> tuple:
 
     Each step sums the table, newest entry over 2, the next over 3, and so
     on: _sum_over_2_up takes the open segment, and each closed segment is
-    summed from its newest entry's divisor on while one Horner pass lifts
-    the partial sums from each D_c to the next and adds the open segment's
+    summed from its newest entry's divisor on; one Horner pass lifts the
+    partial sums from each D_c to the next and adds the open segment's
     sum, so Q is the product of the segments' Q.  step(n, D, A, Q) gives
     the integers (x, q) of the new entry x / (q*D).  With h = gcd(x, q) and
     m = q/h it is (x/h) / (m*D): the open numerators and the newest lift
@@ -143,7 +143,7 @@ def _build(max_n: int, first: int, nums: list, den: int, step) -> tuple:
     closed = []
     for n in range(first, max_n + 1):
         a, q = _sum_over_2_up(nums, blocks)
-        if closed:
+        if closed:  # for speed only: with none closed the pass leaves (a, q) as it is
             b, p, start = 0, 1, len(nums) + _SEGMENT * len(closed)
             for segment, lift in closed:
                 start -= _SEGMENT

@@ -280,20 +280,33 @@ def test_build_sums_the_whole_table_across_segment_closings():
     The step records each (D, A, Q) and returns seeded small (x, q), so the
     entries are known as Fractions: A/(Q*D) must be sum_i entry[-1-i]/(i+2),
     D their least common denominator, and the result their numerators over
-    it, which is what the closed segments' sums and lifts have to keep.
+    it, which is what the closed segments' sums and lifts have to keep.  Q
+    is the product, over the open segment and each closed one, of the lcms
+    of the runs its divisors reach, so it also shows where segments closed.
     """
     rng = random.Random(28)
     entries, seen = [Fraction(3, 5)], []
+    max_n = 2 * _SEGMENT + 5
+    blocks = _blocks(max_n + 1)
+
+    def reached(start, length):
+        """The lcms of the runs holding divisors start + 2 .. start + length + 1."""
+        return [lcm for first, lcm, weights in blocks
+                if first <= start + length + 1 and start + 2 < first + len(weights)]
 
     def step(n, d, a, q):
         seen.append(n)
         assert d == math.lcm(*(e.denominator for e in entries))
         assert Fraction(a, q * d) == sum(e / (i + 2) for i, e in enumerate(reversed(entries)))
+        size, full = len(entries), (len(entries) - 1) // _SEGMENT
+        lcms = reached(0, size - full * _SEGMENT)
+        for j in range(full):
+            lcms += reached(size - (j + 1) * _SEGMENT, _SEGMENT)
+        assert q == math.prod(lcms), n
         x, r = rng.randrange(-40, 41), rng.randrange(1, 31)
         entries.append(Fraction(x, r * d))
         return x, r
 
-    max_n = 2 * _SEGMENT + 5
     nums, den = _build(max_n, 2, [3], 5, step)
     assert seen == list(range(2, max_n + 1)) and len(entries) == max_n
     assert den == math.lcm(*(e.denominator for e in entries))
