@@ -274,6 +274,12 @@ def test_constructions_match_fraction_reference_around_segment_closings():
         assert_matches_reference(CoefficientTable.from_series_oracle(length), reference[:length])
 
 
+def lcms_reached(blocks, start, length):
+    """The lcms of the runs of blocks that hold divisors start + 2 .. start + length + 1."""
+    return [lcm for first, lcm, weights in blocks
+            if first <= start + length + 1 and start + 2 < first + len(weights)]
+
+
 def test_build_sums_the_whole_table_across_segment_closings():
     """Every step is given the sum over all entries so far, past two closings.
 
@@ -289,19 +295,14 @@ def test_build_sums_the_whole_table_across_segment_closings():
     max_n = 2 * _SEGMENT + 5
     blocks = _blocks(max_n + 1)
 
-    def reached(start, length):
-        """The lcms of the runs holding divisors start + 2 .. start + length + 1."""
-        return [lcm for first, lcm, weights in blocks
-                if first <= start + length + 1 and start + 2 < first + len(weights)]
-
     def step(n, d, a, q):
         seen.append(n)
         assert d == math.lcm(*(e.denominator for e in entries))
         assert Fraction(a, q * d) == sum(e / (i + 2) for i, e in enumerate(reversed(entries)))
         size, full = len(entries), (len(entries) - 1) // _SEGMENT
-        lcms = reached(0, size - full * _SEGMENT)
+        lcms = lcms_reached(blocks, 0, size - full * _SEGMENT)
         for j in range(full):
-            lcms += reached(size - (j + 1) * _SEGMENT, _SEGMENT)
+            lcms += lcms_reached(blocks, size - (j + 1) * _SEGMENT, _SEGMENT)
         assert q == math.prod(lcms), n
         x, r = rng.randrange(-40, 41), rng.randrange(1, 31)
         entries.append(Fraction(x, r * d))
@@ -347,9 +348,7 @@ def test_sum_over_2_up_across_block_seams():
         assert Fraction(a, q) == sum(
             Fraction(t, start + i + 2) for i, t in enumerate(reversed(terms))
         ), (start, length)
-        touched = [lcm for first, lcm, weights in blocks
-                   if first <= start + length + 1 and start + 2 < first + len(weights)]
-        assert q == math.prod(touched), (start, length)
+        assert q == math.prod(lcms_reached(blocks, start, length)), (start, length)
 
     for length in sorted({1, 2, 43} | {seam + d for seam in seams[:12] for d in (-1, 0, 1)}):
         check(0, length)
