@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # by about 11% (the A/A sittings on 2 vCPUs) leave the median within about 3%.
 REPEATS = 21
 SAMPLE_S = 0.05  # the length of one timing
-BUILDS = (20, 200, 600, 1001, 2000)
+BUILDS = (5, 20, 200, 300, 600, 1001, 2000)
 CHECKS_N = 1001
 DEMOS = ((1, 2_000), (6, 20_000), (20, 20_000))
 FACTOR_TERMS = 20

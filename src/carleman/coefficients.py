@@ -12,8 +12,9 @@ equivalently by the recurrence
 and as the Taylor coefficients of 1 - exp(-sum_k t**k/(k(k+1)))
 (substitute t = 1/(x+1) and expand (1 - 1/t)*log(1-t)).  Both exact routes
 run in one loop, _build, on a segmented table whose finished segments are
-never rescaled, and share the step sum over lcm blocks (_blocks,
-_blocks_from, _sum_over_2_up); they must agree bit for bit.
+never rescaled, and share the step sum over L = lcm(2..max_n+1), taken in
+runs of divisors (_blocks, _blocks_from, _sum_over_2_up); they must agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class CoefficientTable:
     def from_recurrence(cls, max_n: int) -> "CoefficientTable":
         """Build c_1..c_max_n by the defining recurrence, exactly.
 
-        With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q a product of
-        the lcms of _blocks, not n!), step n has c_n = X / (q*D) for the
+        With c_j = N_j/D and sum_{j<n} N_j/(n-j+1) = A/Q (Q = L of _blocks,
+        the same at every step, not n!), step n has c_n = X / (q*D) for the
         integers X = D*Q - (n+1)*A and q = n*(n+1)*Q; _build keeps its
         reduced form, which no choice of Q changes.
         """
@@ -125,32 +126,31 @@ _SEGMENT = 96  # 64 to 128 build about as fast
 def _build(max_n: int, first: int, nums: list, den: int, step) -> tuple:
     """(numerators, D) of the table nums/den grown by steps first..max_n, oldest first.
 
-    Each step sums the table, newest entry over 2, the next over 3, and so
-    on: _sum_over_2_up takes the open segment, and each closed segment is
-    summed from its newest entry's divisor on; one Horner pass lifts the
-    partial sums from each D_c to the next and adds the open segment's
-    sum, so Q is the product of the segments' Q.  step(n, D, A, Q) gives
-    the integers (x, q) of the new entry x / (q*D).  With h = gcd(x, q) and
-    m = q/h it is (x/h) / (m*D): the open numerators and the newest lift
-    are multiplied by m and x/h is appended, after the open segment closes
-    if it is full.  As gcd(x/h, m) = 1, a prime dividing D*m and every new
+    Step n sums the table, newest entry over 2, the next over 3, and so on,
+    as A/L with the same L = lcm(2..max_n+1) at every step: _sum_over_2_up
+    takes the open segment, and each closed segment from its newest entry's
+    divisor on, and one Horner pass, b = (b + S_c) * lift_c, brings the
+    closed segments' sums S_c to D.  step(n, D, A, L) gives the integers
+    (x, q) of the new entry x / (q*D).  With h = gcd(x, q) and m = q/h it
+    is (x/h) / (m*D): the open numerators and the newest lift are
+    multiplied by m and x/h is appended, after the open segment closes if
+    it is full.  As gcd(x/h, m) = 1, a prime dividing D*m and every new
     numerator divides D and every old one, so a least D stays least.  At
     the end one pass lifts each closed segment to the final D.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    blocks = _blocks(max_n + 1)
+    total, runs = _blocks(max_n + 1)
     closed = []
     for n in range(first, max_n + 1):
-        a, q = _sum_over_2_up(nums, blocks)
-        if closed:  # for speed only: with none closed the pass leaves (a, q) as it is
-            b, p, start = 0, 1, len(nums) + _SEGMENT * len(closed)
+        a = _sum_over_2_up(nums, runs)
+        if closed:  # for speed only: with none closed the pass adds nothing to a
+            b, start = 0, len(nums) + _SEGMENT * len(closed)
             for segment, lift in closed:
                 start -= _SEGMENT
-                c, r = _sum_over_2_up(segment, _blocks_from(blocks, start))
-                b, p = (b * r + c * p) * lift, p * r
-            a, q = b * q + a * p, p * q
-        x, q = step(n, den, a, q)
+                b = (b + _sum_over_2_up(segment, _blocks_from(runs, start))) * lift
+            a += b
+        x, q = step(n, den, a, total)
         h = math.gcd(x, q)
         m = q // h
         nums = [v * m for v in nums]
@@ -168,61 +168,55 @@ def _build(max_n: int, first: int, nums: list, den: int, step) -> tuple:
     return tuple(nums), den
 
 
-def _blocks(top: int) -> list:
-    """The divisors 2..top cut into runs of consecutive k, in order.
+def _blocks(top: int) -> tuple:
+    """(L, runs): L = lcm(2..top) and the divisors 2..top cut into runs of consecutive k.
 
-    Each run is stored as (k0, L, [L // k for k in run]) with k0 its first
-    divisor and L its lcm, and a run ends where taking the next k would
-    bring L to 2**60, so every L // k fits in two 30-bit digits of a
-    CPython int.  The first run is 2..42; near k = 250 a run holds about 8
-    divisors, near 2000 about 5.
+    A run is (k0, L // l, [l // k for k in run]), k0 its first divisor and
+    l its lcm, and ends where the next k would bring l to 2**c, with
+    c = max(60, isqrt(13*top)), about 3*sqrt(bit length of L): the dot
+    products of _sum_over_2_up grow with c, and their cofactor products
+    with the number of runs.  The first run is 2..42 up to top = 286; at
+    top = 2001 (c = 161) it is 2..108, and a run near k = 2000 holds about
+    17 divisors.
     """
-    blocks, lcm, first = [], 1, 2
+    cap = 1 << max(60, math.isqrt(13 * top))
+    spans, total, lcm, first = [], 1, 1, 2
     for k in range(2, top + 1):
         wider = math.lcm(lcm, k)
-        if wider >= 2**60:
-            blocks.append((first, lcm, [lcm // j for j in range(first, k)]))
+        if wider >= cap:
+            spans.append((first, lcm, [lcm // j for j in range(first, k)]))
+            total = math.lcm(total, lcm)
             wider, first = k, k
         lcm = wider
-    blocks.append((first, lcm, [lcm // j for j in range(first, top + 1)]))
-    return blocks
+    spans.append((first, lcm, [lcm // j for j in range(first, top + 1)]))
+    total = math.lcm(total, lcm)
+    return total, [(k0, total // lcm, weights) for k0, lcm, weights in spans]
 
 
-def _blocks_from(blocks: list, start: int):
+def _blocks_from(runs: list, start: int):
     """The runs of _blocks from divisor start + 2 on: the run holding it, cut there, then the rest."""
-    index = bisect.bisect_right(blocks, start + 2, key=itemgetter(0)) - 1
-    first, lcm, weights = blocks[index]
-    cut = (start + 2, lcm, weights[start + 2 - first:])
-    return itertools.chain((cut,), itertools.islice(blocks, index + 1, None))
+    index = bisect.bisect_right(runs, start + 2, key=itemgetter(0)) - 1
+    first, cofactor, weights = runs[index]
+    cut = (start + 2, cofactor, weights[start + 2 - first:])
+    return itertools.chain((cut,), itertools.islice(runs, index + 1, None))
 
 
-def _sum_over_2_up(terms: list, blocks) -> tuple:
-    """(A, Q) with A/Q = sum_i terms[-1-i]/(i+k0), the runs of blocks starting at divisor k0.
+def _sum_over_2_up(terms: list, runs) -> int:
+    """A with A/L = sum_i terms[-1-i]/(i+k0), the runs starting at divisor k0, L = lcm(2..top).
 
-    blocks is _blocks(len(terms) + 1) or longer, with k0 = 2, or
-    _blocks_from(blocks, start), with k0 = start + 2.  Each run's share of
-    the reversed terms is one sum of big-by-small products over its lcm L,
-    run in C; Q is the product of the lcms of the runs that the terms
-    reach, a cut run's whole L among them.  Those few run sums are merged
-    pairwise, a/p + b/q = (a*q + b*p)/(p*q), so a big numerator mostly meets
-    a small denominator and no gcd is taken, in ceil(log2) halving rounds.
+    runs is the second part of _blocks(top), top >= len(terms) + 1, with
+    k0 = 2, or _blocks_from(runs, start), with k0 = start + 2.  Each run's
+    share of the reversed terms is one sum of big-by-small products over
+    its lcm l, run in C, and its cofactor L // l brings it over L.
     """
-    parts, rest, left = [], reversed(terms), len(terms)
-    for _, lcm, weights in blocks:
+    total, rest, left = 0, reversed(terms), len(terms)
+    for _, cofactor, weights in runs:
         # weights first: map stops on it without taking a term from rest
-        parts.append((sum(map(mul, weights, rest)), lcm))
+        total += cofactor * sum(map(mul, weights, rest))
         left -= len(weights)
         if left <= 0:
             break
-    if len(parts) == 1:  # every step of a table within the first run, 2..42
-        return parts[0]
-    for _ in range((len(parts) - 1).bit_length()):
-        pairs = iter(parts)
-        merged = [(a * q + b * p, p * q) for (a, p), (b, q) in zip(pairs, pairs)]
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
+    return total
 
 
 def bound_check(table: CoefficientTable) -> Check:
@@ -318,7 +312,10 @@ def ratio_trend_check(table: CoefficientTable) -> Check:
         n for n in range(start, table.max_n - 1) if not _log_convex(*nums[n:n + 3])
     ]
     ok = below_one and not not_increasing
-    last_ratio = nums[-1] / nums[-2]
+    try:
+        last_ratio = nums[-1] / nums[-2]
+    except (ZeroDivisionError, OverflowError):  # N_{max-1} = 0 or past the float range: fail
+        last_ratio, ok = None, False
     return Check(
         name="ratio-trend",
         claim_ref="Eq. (3.4)",

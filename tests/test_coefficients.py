@@ -20,6 +20,7 @@ from carleman import (
     oracle_equivalence_check,
     ratio_trend_check,
 )
+import carleman.coefficients as coefficients
 from carleman.coefficients import (
     _SEGMENT,
     _blocks,
@@ -194,6 +195,17 @@ def test_ratio_trend(table200):
     assert check.detail == "below_one=True, non-increasing at n=[2, 3]"
 
 
+@pytest.mark.parametrize("nums", [
+    (3, 2, 1, 0, 5),  # N_{max-1} = 0
+    (3, 2, 1, 1, 10**400),  # a last ratio past the float range
+    (1, -1, -(10**200), -(10**520)),  # decreasing and log-convex, last ratio 1e320
+])
+def test_ratio_trend_fails_without_a_float_last_ratio(nums):
+    check = ratio_trend_check(CoefficientTable(nums, 6))
+    assert check.status == FAIL
+    assert check.values["last_ratio"] is None
+
+
 def test_ratio_trend_needs_four_entries():
     with pytest.raises(ValueError, match="too short"):
         ratio_trend_check(CoefficientTable.from_recurrence(3))
@@ -274,40 +286,39 @@ def test_constructions_match_fraction_reference_around_segment_closings():
         assert_matches_reference(CoefficientTable.from_series_oracle(length), reference[:length])
 
 
-def lcms_reached(blocks, start, length):
-    """The lcms of the runs of blocks that hold divisors start + 2 .. start + length + 1."""
-    return [lcm for first, lcm, weights in blocks
-            if first <= start + length + 1 and start + 2 < first + len(weights)]
-
-
-def test_build_sums_the_whole_table_across_segment_closings():
+def test_build_sums_the_whole_table_across_segment_closings(monkeypatch):
     """Every step is given the sum over all entries so far, past two closings.
 
     The step records each (D, A, Q) and returns seeded small (x, q), so the
     entries are known as Fractions: A/(Q*D) must be sum_i entry[-1-i]/(i+2),
     D their least common denominator, and the result their numerators over
     it, which is what the closed segments' sums and lifts have to keep.  Q
-    is the product, over the open segment and each closed one, of the lcms
-    of the runs its divisors reach, so it also shows where segments closed.
+    is L = lcm(2..max_n+1) at every step.  The distances at which the step
+    starts each closed segment's sum, recorded from _blocks_from, show where
+    segments closed, which the integers alone do not.
     """
     rng = random.Random(28)
-    entries, seen = [Fraction(3, 5)], []
+    entries, seen, starts = [Fraction(3, 5)], [], []
     max_n = 2 * _SEGMENT + 5
-    blocks = _blocks(max_n + 1)
+    total = math.lcm(*range(2, max_n + 2))
+
+    def blocks_from(runs, start):
+        starts.append(start)
+        return _blocks_from(runs, start)
 
     def step(n, d, a, q):
         seen.append(n)
         assert d == math.lcm(*(e.denominator for e in entries))
         assert Fraction(a, q * d) == sum(e / (i + 2) for i, e in enumerate(reversed(entries)))
+        assert q == total, n
         size, full = len(entries), (len(entries) - 1) // _SEGMENT
-        lcms = lcms_reached(blocks, 0, size - full * _SEGMENT)
-        for j in range(full):
-            lcms += lcms_reached(blocks, size - (j + 1) * _SEGMENT, _SEGMENT)
-        assert q == math.prod(lcms), n
+        assert starts == [size - (j + 1) * _SEGMENT for j in range(full)], n
+        starts.clear()
         x, r = rng.randrange(-40, 41), rng.randrange(1, 31)
         entries.append(Fraction(x, r * d))
         return x, r
 
+    monkeypatch.setattr(coefficients, "_blocks_from", blocks_from)
     nums, den = _build(max_n, 2, [3], 5, step)
     assert seen == list(range(2, max_n + 1)) and len(entries) == max_n
     assert den == math.lcm(*(e.denominator for e in entries))
@@ -317,38 +328,43 @@ def test_build_sums_the_whole_table_across_segment_closings():
 
 @pytest.mark.parametrize("top", [2, 3, 42, 43, 44, 250, 2001])
 def test_blocks_tile_the_divisors_in_order(top):
-    """Runs of 2..top with their lcm L below 2**60, each as long as that allows."""
+    """Runs of 2..top over L = lcm(2..top), each run's lcm l below the cap and as long as that allows.
+
+    The cap is 2**c with c = max(60, isqrt(13*top)) bits, 2**161 at top = 2001.
+    """
+    cap = 2 ** max(60, math.isqrt(13 * top))
     divisors = range(2, top + 1)
+    total, runs = _blocks(top)
+    assert total == math.lcm(*divisors)
     start = 0
-    for first, lcm, weights in _blocks(top):
+    for first, cofactor, weights in runs:
         run = divisors[start:start + len(weights)]
-        assert run and run[0] == first and lcm == math.lcm(*run) < 2**60
+        lcm = math.lcm(*run)
+        assert run and run[0] == first and lcm < cap and cofactor * lcm == total
         assert weights == [lcm // k for k in run]
         start += len(run)
         if start < len(divisors):
-            assert math.lcm(lcm, divisors[start]) >= 2**60
+            assert math.lcm(lcm, divisors[start]) >= cap
     assert start == len(divisors)
 
 
 def test_sum_over_2_up_across_block_seams():
-    """The Fraction sum at every length around the first seams, over the lcms reached.
+    """The Fraction sum at every length around the first seams, over L.
 
     Started at distance `start`, from _blocks_from, the sum runs over
     divisors start + 2, start + 3, ...: mid-run, at a seam and one past it.
-    q is then the product of the lcms of the runs touched, the cut one's too.
     """
-    blocks = _blocks(700)
-    seams = list(itertools.accumulate(len(weights) for _, _, weights in blocks))
-    assert seams[0] == 41  # the first block is 2..42
+    total, runs = _blocks(700)
+    seams = list(itertools.accumulate(len(weights) for _, _, weights in runs))
+    assert seams[0] == 65  # the first run is 2..66 under the cap 2**95
     rng = random.Random(42)
 
     def check(start, length):
         terms = [rng.randrange(-(2**300), 2**300) for _ in range(length)]
-        a, q = _sum_over_2_up(terms, _blocks_from(blocks, start) if start else blocks)
-        assert Fraction(a, q) == sum(
+        a = _sum_over_2_up(terms, _blocks_from(runs, start) if start else runs)
+        assert Fraction(a, total) == sum(
             Fraction(t, start + i + 2) for i, t in enumerate(reversed(terms))
         ), (start, length)
-        assert q == math.prod(lcms_reached(blocks, start, length)), (start, length)
 
     for length in sorted({1, 2, 43} | {seam + d for seam in seams[:12] for d in (-1, 0, 1)}):
         check(0, length)
@@ -356,6 +372,16 @@ def test_sum_over_2_up_across_block_seams():
     for start in (5, 40, seams[3] - 2, seams[3] - 1, seams[3], seams[3] + 1, seams[20] + 2):
         for length in (1, 2, 7, 8, 9, _SEGMENT, 200):
             check(start, length)
+
+
+def test_sum_over_2_up_reads_no_run_past_the_terms():
+    """A step of a short table, summed on a long table's runs, stops at the last run it reaches."""
+    total, runs = _blocks(700)
+    unread = (None, None, None)  # a run that raises TypeError if summed
+    for length in (1, 64, 65, 66, 200):
+        terms = list(range(1, length + 1))
+        reached = [run for run in runs if run[0] <= length + 1]
+        assert _sum_over_2_up(terms, [*reached, unread]) == _sum_over_2_up(terms, runs)
 
 
 @pytest.mark.parametrize("fault", [2, 3, 57, 199, 200])

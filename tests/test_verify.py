@@ -171,6 +171,17 @@ def test_fault_injection_fails_decrease_check():
     assert by_name["oracle-equivalence"].status == FAIL
 
 
+def test_sweep_completes_on_a_table_with_a_zero_entry():
+    """N_4 = 0 leaves no float last ratio; ratio-trend fails and every later check still runs."""
+    report = run_verification(quad_max=2, table=CoefficientTable((3, 2, 1, 0, 5), 6))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["ratio-trend"].status == FAIL
+    assert by_name["ratio-trend"].values["last_ratio"] is None
+    assert "endpoint-moment-limit" in by_name
+    assert report.summary["failed"] == 7
+    assert '"last_ratio": null' in report.to_json()
+
+
 def test_prebuilt_table_overrides_max_n(table200):
     report = run_verification(max_n=10, quad_max=5, table=table200)
     by_name = {c.name: c for c in report.checks}
