@@ -36,9 +36,9 @@ from .report import VerificationReport
 from .verify import corrupted_table, engine_config, run_verification
 
 #: Longest coefficient table the CLI builds (--max-n, --terms).  On a
-#: 2-vCPU x86-64 host from_recurrence takes 0.52 s at N = 1001 and 4.3 s at
-#: 2000 (best of 21, BENCH_26.json; roughly N**3.1), and `verify` builds
-#: two tables, which take about 8.3 s together at `verify --max-n 2000`.
+#: 2-vCPU x86-64 host from_recurrence takes 0.53 s at N = 1001 and 5.1 s at
+#: 2000 (best of 21, BENCH_29.json; roughly N**3.3), and `verify` builds
+#: two tables, which take about 10.2 s together at `verify --max-n 2000`.
 MAX_TABLE_N = 2000
 
 #: Most significant digits of `coeffs --mode decimal` (--digits); at the cap

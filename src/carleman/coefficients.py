@@ -325,6 +325,7 @@ def ratio_trend_check(table: CoefficientTable) -> Check:
             f"last ratio {last_ratio:.12f}"
             if ok
             else f"below_one={below_one}, non-increasing at n={not_increasing[:10]}"
+            + ("; no float last ratio" if last_ratio is None else "")
         ),
         values={"start": start, "upto": table.max_n - 1, "last_ratio": last_ratio},
     )

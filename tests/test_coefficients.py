@@ -204,6 +204,7 @@ def test_ratio_trend_fails_without_a_float_last_ratio(nums):
     check = ratio_trend_check(CoefficientTable(nums, 6))
     assert check.status == FAIL
     assert check.values["last_ratio"] is None
+    assert check.detail.endswith("; no float last ratio")
 
 
 def test_ratio_trend_needs_four_entries():
@@ -353,15 +354,20 @@ def test_sum_over_2_up_across_block_seams():
 
     Started at distance `start`, from _blocks_from, the sum runs over
     divisors start + 2, start + 3, ...: mid-run, at a seam and one past it.
+    From distance 0 it is given the runs the terms reach and then one that
+    raises TypeError if summed, so a short table's step costs nothing on a
+    long table's runs.
     """
     total, runs = _blocks(700)
     seams = list(itertools.accumulate(len(weights) for _, _, weights in runs))
     assert seams[0] == 65  # the first run is 2..66 under the cap 2**95
     rng = random.Random(42)
+    unread = (None, None, None)
 
     def check(start, length):
         terms = [rng.randrange(-(2**300), 2**300) for _ in range(length)]
-        a = _sum_over_2_up(terms, _blocks_from(runs, start) if start else runs)
+        reached = [run for run in runs if run[0] <= length + 1]
+        a = _sum_over_2_up(terms, _blocks_from(runs, start) if start else [*reached, unread])
         assert Fraction(a, total) == sum(
             Fraction(t, start + i + 2) for i, t in enumerate(reversed(terms))
         ), (start, length)
@@ -372,16 +378,6 @@ def test_sum_over_2_up_across_block_seams():
     for start in (5, 40, seams[3] - 2, seams[3] - 1, seams[3], seams[3] + 1, seams[20] + 2):
         for length in (1, 2, 7, 8, 9, _SEGMENT, 200):
             check(start, length)
-
-
-def test_sum_over_2_up_reads_no_run_past_the_terms():
-    """A step of a short table, summed on a long table's runs, stops at the last run it reaches."""
-    total, runs = _blocks(700)
-    unread = (None, None, None)  # a run that raises TypeError if summed
-    for length in (1, 64, 65, 66, 200):
-        terms = list(range(1, length + 1))
-        reached = [run for run in runs if run[0] <= length + 1]
-        assert _sum_over_2_up(terms, [*reached, unread]) == _sum_over_2_up(terms, runs)
 
 
 @pytest.mark.parametrize("fault", [2, 3, 57, 199, 200])
