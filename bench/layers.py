@@ -15,8 +15,9 @@ and greatest.  The control, one stdlib Fraction sum, shows whether the sides
 ran at the same speed.
 
 The sizes, in `sizes`, cover the layers (a) the two table builders, (b) the
-four exact table checks, (c) the quadrature and run_verification() and (d)
-the weights, the demo and tail_bound, each at fixed arguments.  `values`
+four exact table checks, (c) the quadrature (one moment integral, the six
+defect integrals of verify, the density identities) and run_verification()
+and (d) the weights, the demo and tail_bound, each at fixed arguments.  `values`
 holds a fingerprint of each result (a hash of a table's reduced entries or
 of checks' names and statuses, or a float in hex), so the file shows whether
 the commits computed the same, bit for bit.
@@ -102,6 +103,8 @@ def sizes(pkg) -> dict:
         found[f"{check.__name__}_{CHECKS_N}"] = (partial(check, *args), lambda c: verdicts([c]))
     moment = lambda result: f"{result.value.hex()} {result.levels_used}"
     found["coefficient_by_moment_20"] = (partial(pkg.coefficient_by_moment, 20), moment)
+    defects = lambda: [pkg.scaled_defect_by_quadrature(x, 1e-12) for x in pkg.verify.GAP_SAMPLE_XS]
+    found["scaled_defect_by_quadrature"] = (defects, lambda results: " ".join(map(moment, results)))
     found["density_identity_checks"] = (pkg.density_identity_checks, verdicts)
     found["run_verification"] = (pkg.run_verification, lambda report: verdicts(report.checks))
     for terms, length in DEMOS:

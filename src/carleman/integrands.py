@@ -78,9 +78,12 @@ def compound_power(x) -> float:
     Evaluated as exp(x*log1p(1/x)) so it keeps its accuracy when x is
     large and the power hugs e.  Where 1/x overflows (subnormal x) the
     logarithm is taken as -log(x), its value to double precision there,
-    so the result stays finite and tends to 1.
+    so the result stays finite and tends to 1.  An exact x whose float
+    view is 0.0 gets that limit, 1.0.
     """
     x = float(x)
+    if x == 0.0:
+        return 1.0
     inverse = 1.0 / x
     log_base = math.log1p(inverse) if math.isfinite(inverse) else -math.log(x)
     return math.exp(x * log_base)

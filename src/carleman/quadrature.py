@@ -9,11 +9,13 @@ between consecutive levels, and convergence requires that change to stay
 within tolerance twice in a row, since a single small difference can be a
 plateau rather than the limit.
 
-`integrate` calls its integrand at every node of every call.  The moment
-integrals, a fixed density times a power of s, go through
-`integrate_moment` instead: the density's values at each level's nodes are
-tabulated once per process, so a call costs one power, one multiply and
-one add per node, and gives integrate()'s result bit for bit.
+Both entry points run one level loop, in which each node pair adds
+weight * (f_hi * s_hi**power + f_lo * s_lo**power).  `integrate` calls
+its integrand at every node of every call, with power 0: s**0 == 1.0, so
+that is the plain sum.  The moment integrals, a fixed density times a
+power of s, go through `integrate_moment`: the density's values at each
+level's nodes are tabulated once per process, so a call costs only the
+powers and the sum, and gives integrate()'s result bit for bit.
 
 Scope is deliberately [0,1] only; that is the only interval the rest of
 the package integrates over.
@@ -77,30 +79,20 @@ def _level_nodes(level: int) -> tuple:
     return tuple(nodes)
 
 
-def _level_sum(func: Callable[[float], float], level: int) -> float:
-    total = 0.0
-    for s_hi, s_lo, weight in _level_nodes(level):
-        fs = func(s_hi) + func(s_lo)
-        if not math.isfinite(fs):
-            raise ValueError(f"integrand not finite near s={s_hi!r}/{s_lo!r}")
-        total += weight * fs
-    return total
-
-
-@functools.cache
-def _level_values(density: Callable[[float], float], level: int) -> tuple:
-    """(density(s_hi), density(s_lo)) at the node pairs new at `level`.
-
-    Built once per process for each density and level, like the nodes;
-    only module-level densities are passed, so the tables stay bounded.
-    """
+def _values(func: Callable[[float], float], level: int) -> tuple:
+    """(func(s_hi), func(s_lo)) at the node pairs new at `level`."""
     values = []
     for s_hi, s_lo, _ in _level_nodes(level):
-        f_hi, f_lo = density(s_hi), density(s_lo)
+        f_hi, f_lo = func(s_hi), func(s_lo)
         if not math.isfinite(f_hi + f_lo):
-            raise ValueError(f"density not finite near s={s_hi!r}/{s_lo!r}")
+            raise ValueError(f"integrand not finite near s={s_hi!r}/{s_lo!r}")
         values.append((f_hi, f_lo))
     return tuple(values)
+
+
+# A module-level density's values, built once per process per level; only
+# module-level densities are passed, so the tables stay bounded.
+_level_values = functools.cache(_values)
 
 
 @functools.cache
@@ -109,23 +101,22 @@ def _mirrored_nodes(level: int) -> tuple:
     return tuple((1.0 - s_hi, 1.0 - s_lo, weight) for s_hi, s_lo, weight in _level_nodes(level))
 
 
-def _moment_level_sum(density, power: int, mirror: bool, level: int) -> float:
-    nodes = _mirrored_nodes(level) if mirror else _level_nodes(level)
-    total = 0.0
-    for (s_hi, s_lo, weight), (f_hi, f_lo) in zip(nodes, _level_values(density, level)):
-        fs = f_hi * s_hi**power + f_lo * s_lo**power
-        total += weight * fs
-    return total
+def _converge(nodes: Callable[[int], tuple], values: Callable[[int], tuple], power: int,
+              tol: float) -> QuadratureResult:
+    """Halve the step level by level until two differences in a row are within `tol`.
 
-
-def _converge(level_sum: Callable[[int], float], tol: float) -> QuadratureResult:
-    """Halve the step level by level until two differences in a row are within `tol`."""
+    Each node pair of nodes(level), with its values(level), adds
+    weight * (f_hi * s_hi**power + f_lo * s_lo**power) to the level's sum.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    value, error = level_sum(0), math.inf
-    for level in range(1, _MAX_LEVELS + 1):
+    value, error = 0.0, math.inf
+    for level in range(_MAX_LEVELS + 1):
+        total = 0.0
+        for (s_hi, s_lo, weight), (f_hi, f_lo) in zip(nodes(level), values(level)):
+            total += weight * (f_hi * s_hi**power + f_lo * s_lo**power)
         previous, last = value, error
-        value = 0.5 * value + level_sum(level) / (1 << level)
+        value = 0.5 * value + total / (1 << level)
         error = abs(value - previous)
         if level > _MIN_LEVELS and max(error, last) <= tol:
             return QuadratureResult(value, error, level, True)
@@ -140,7 +131,7 @@ def integrate(func: Callable[[float], float], tol: float = 1e-12) -> QuadratureR
     stayed within `tol`.  Non-convergence is not an exception - the
     caller decides.  func is called at every node of every call.
     """
-    return _converge(functools.partial(_level_sum, func), tol)
+    return _converge(_level_nodes, functools.partial(_values, func), 0, tol)
 
 
 def integrate_moment(density: Callable[[float], float], power: int, tol: float = 1e-12,
@@ -151,4 +142,5 @@ def integrate_moment(density: Callable[[float], float], power: int, tol: float =
     must be a module-level function: its values at each level's nodes
     are computed once per process, and only the powers per call.
     """
-    return _converge(functools.partial(_moment_level_sum, density, power, mirror), tol)
+    nodes = _mirrored_nodes if mirror else _level_nodes
+    return _converge(nodes, functools.partial(_level_values, density), power, tol)

@@ -1,6 +1,7 @@
 """Pointwise evaluation: the density, its derivative, the scaled defect."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,10 @@ def test_compound_power_finite_where_reciprocal_overflows():
         assert compound_power(x) == math.exp(x * math.log1p(1.0 / x))
     assert math.isinf(1.0 / 1e-320)
     assert compound_power(1e-320) == 1.0
+    # a positive exact x whose float view is 0.0 gets the limit at 0
+    tiny = Fraction(1, 10**400)
+    assert float(tiny) == 0.0 and compound_power(tiny) == 1.0
+    assert scaled_defect(tiny) == E - 1.0
 
 
 def test_scaled_defect_limit_behavior():

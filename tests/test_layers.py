@@ -47,10 +47,14 @@ def test_sizes_lists_every_layer_with_a_fingerprint(monkeypatch):
     monkeypatch.setattr(layers, "CHECKS_N", 30)  # the checks' table, built eagerly
     found = layers.sizes(carleman)
     assert {"control", "from_recurrence_2000", "bound_check_30", "coefficient_by_moment_20",
-            "density_identity_checks", "run_verification", "carleman_demo_20_20000",
+            "scaled_defect_by_quadrature", "density_identity_checks", "run_verification",
+            "carleman_demo_20_20000",
             "refinement_factor_20_exact", "tail_bound_1e-06_1"} <= set(found)
     call, fingerprint = found["coefficient_by_moment_20"]
     assert fingerprint(call()) == f"{carleman.coefficient_by_moment(20).value.hex()} 5"
+    call, fingerprint = found["scaled_defect_by_quadrature"]
+    first = carleman.scaled_defect_by_quadrature(carleman.verify.GAP_SAMPLE_XS[0])
+    assert fingerprint(call()).split()[:2] == [first.value.hex(), str(first.levels_used)]
     call, fingerprint = found["carleman_demo_1_2000"]
     demo = carleman.carleman_demo(layers.demo_sequence(2000), 1,
                                   CoefficientTable.from_recurrence(1))
